@@ -1027,12 +1027,6 @@ fn fleet_trace_table(cfg: FleetConfig, dir: &std::path::Path) -> TextTable {
             ),
         ]);
     }
-    for i in 0..p.shard_busy.len() {
-        t.row(&[
-            format!("shard[{i}] busy ms"),
-            f3(p.shard_busy[i].as_secs_f64() * 1e3),
-        ]);
-    }
     t
 }
 
@@ -1334,13 +1328,6 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
             .sum::<u64>()
             .to_string(),
     ]);
-    // Physical cross-shard moves are the one shard-count-dependent
-    // number here — a diagnostic, deliberately outside the summary.
-    t.row(&[
-        "physical cross-shard moves (diagnostic)".into(),
-        single.physical_migrations.to_string(),
-        sharded.physical_migrations.to_string(),
-    ]);
     t.row(&[
         "faults injected".into(),
         single.reliability.faults_injected().to_string(),
@@ -1479,14 +1466,16 @@ pub fn fleet_resume(seed: u64) -> TextTable {
 const PRE_STEAL_IDLE_FRACTION: f64 = 0.40;
 
 /// E22 — work-stealing epoch executor: the E14 fleet (1,000 vehicles,
-/// 60 s, a 12 s regional LTE outage) with each epoch's vehicle-tick
-/// phase split into stealable fixed-size vehicle batches on the
-/// persistent executor, instead of one scoped thread per shard. The
-/// table reports the executor shape (threads, batch size), how many
-/// batches idle workers stole, the mean barrier-idle fraction against
-/// the pinned pre-refactor baseline from E18 (~40 %), wall-clock
-/// throughput, and asserts the 1-shard and 8-shard runs remain
-/// byte-identical — the steal schedule must never reach a report.
+/// 60 s, a 12 s regional LTE outage) with each epoch's tick phase
+/// handing stealable chunks of the vehicle arena to the persistent
+/// executor. The table reports the executor shape (threads, chunk
+/// size), how many chunks idle workers stole, the mean barrier-idle
+/// fraction against the pinned pre-refactor baseline from E18 (~40 %)
+/// and wall-clock throughput, and asserts the run is byte-identical to
+/// a serial one (one worker, the whole fleet in one chunk) — the steal
+/// schedule must never reach a report. An idle fraction measured on a
+/// single worker says nothing about stealing, and the table says so
+/// when that is what it measured.
 #[must_use]
 pub fn fleet_steal(seed: u64) -> TextTable {
     let mut cfg = FleetConfig::sized(1000, 8);
@@ -1496,34 +1485,45 @@ pub fn fleet_steal(seed: u64) -> TextTable {
     fleet_steal_table(cfg)
 }
 
-/// Runs `cfg` at 1 and 8 shards and renders the executor profile.
+/// Runs `cfg` serially and on the default executor, and renders the
+/// executor profile of the latter.
 fn fleet_steal_table(cfg: FleetConfig) -> TextTable {
-    let run = |shards: u32| {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        let started = std::time::Instant::now();
-        let report = FleetEngine::new(c).run();
-        (report, started.elapsed())
-    };
-    let (single, _) = run(1);
-    let (sharded, wall) = run(8);
+    let serial = FleetEngine::new(
+        cfg.clone()
+            .with_executor_threads(1)
+            .with_batch_size(cfg.vehicles),
+    )
+    .run();
+    let started = std::time::Instant::now();
+    let report = FleetEngine::new(cfg.clone()).run();
+    let wall = started.elapsed();
     assert!(
-        single.summary() == sharded.summary(),
+        serial.summary() == report.summary(),
         "fleet determinism contract violated under the work-stealing \
-         executor\n--- 1 shard ---\n{}\n--- 8 shards ---\n{}",
-        single.summary(),
-        sharded.summary()
+         executor\n--- serial ---\n{}\n--- executor ---\n{}",
+        serial.summary(),
+        report.summary()
     );
-    let p = &sharded.profile;
+    let p = &report.profile;
+    let threads = p.worker_busy.len();
     let mut t = TextTable::new(
-        "E22 — work-stealing epoch executor: stealable vehicle batches vs the scoped-join baseline (8 shards)",
+        "E22 — work-stealing epoch executor: stealable arena chunks vs the scoped-join baseline",
         &["metric", "value"],
     );
-    t.row(&["executor threads".into(), p.worker_busy.len().to_string()]);
-    t.row(&["batch size (vehicles)".into(), cfg.batch_size.to_string()]);
+    t.row(&["executor threads".into(), threads.to_string()]);
+    t.row(&[
+        "batch size (vehicles)".into(),
+        cfg.chunk_size(threads).to_string(),
+    ]);
     t.row(&["epochs profiled".into(), p.epochs.to_string()]);
     t.row(&["batches stolen".into(), p.total_steals().to_string()]);
     t.row(&["mean idle fraction".into(), f3(p.mean_idle_fraction())]);
+    if threads < 2 {
+        t.row(&[
+            "(one worker: the idle fraction is no evidence about stealing)".into(),
+            "-".into(),
+        ]);
+    }
     t.row(&[
         "pre-refactor idle fraction (E18 baseline)".into(),
         f3(PRE_STEAL_IDLE_FRACTION),
@@ -1533,11 +1533,8 @@ fn fleet_steal_table(cfg: FleetConfig) -> TextTable {
         f3(p.barrier.as_secs_f64() * 1e3),
     ]);
     t.row(&[
-        "events/sec (wall-clock, 8 shards)".into(),
-        format!(
-            "{:.0}",
-            sharded.events_processed as f64 / wall.as_secs_f64()
-        ),
+        "events/sec (wall-clock)".into(),
+        format!("{:.0}", report.events_processed as f64 / wall.as_secs_f64()),
     ]);
     t.row(&["summaries byte-identical".into(), "yes".into()]);
     t

@@ -39,8 +39,15 @@ use std::path::PathBuf;
 pub use serde_json as json;
 use serde_json::Value;
 
-/// Version tag written into every snapshot envelope.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Version tag written into every snapshot envelope. [`Snapshot::decode`]
+/// refuses any other version, so a payload laid out for an older engine
+/// is never misread.
+///
+/// * 1 — the sharded fleet engine.
+/// * 2 — the fleet engine's persistent vehicle arena: vehicles no
+///   longer carry a migration `generation`, the mobility pass no longer
+///   stores `physical_migrations`, and the event ledger is `events`.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Magic string identifying a snapshot envelope.
 pub const SNAPSHOT_MAGIC: &str = "vdap-ckpt";
@@ -510,7 +517,10 @@ mod tests {
         let text = Snapshot::new(1, Value::Null).encode();
         assert!(Snapshot::decode(&text.replace("vdap-ckpt", "vdap-oops")).is_err());
         // A forged version also breaks the checksum input.
-        assert!(Snapshot::decode(&text.replace("\"version\":1", "\"version\":2")).is_err());
+        let current = format!("\"version\":{SNAPSHOT_VERSION}");
+        let forged = format!("\"version\":{}", SNAPSHOT_VERSION + 1);
+        assert!(text.contains(&current));
+        assert!(Snapshot::decode(&text.replace(&current, &forged)).is_err());
     }
 
     #[test]

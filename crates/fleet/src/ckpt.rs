@@ -13,14 +13,14 @@
 //!   pattern so a restore is bit-identical, not merely close.
 //! * **One codec per owner.** Each subsystem encodes its own private
 //!   state (`XEdgeServer` in `edge.rs`, `IngestPass` in `ingest.rs`,
-//!   vehicles in `shard.rs`, the mobility pass in `engine.rs`); this
+//!   vehicles in `arena.rs`, the mobility pass in `engine.rs`); this
 //!   module only provides the leaf helpers they compose and the
 //!   top-level config fingerprint that guards restore.
 //! * **Rebuild what is pure.** Anything derivable from `FleetConfig`
 //!   plus the master seed (route graphs, contention models, retry
 //!   policies, label tables) is *not* serialized — restore rebuilds it,
-//!   which is also what makes restoring into a different shard count
-//!   possible.
+//!   and nothing executor-shaped is stored, which is what makes
+//!   restoring under a different executor width or chunk size possible.
 
 use std::fmt;
 
@@ -427,9 +427,11 @@ pub(crate) fn dec_batch(v: &Value) -> Result<UploadBatch, CkptError> {
 ///
 /// Restore refuses a snapshot whose fingerprint disagrees with the
 /// restoring engine's config — resuming a *different* scenario would
-/// silently produce garbage. `shards` is deliberately **excluded**:
-/// restoring into a different shard count is a supported (and tested)
-/// operation, because the canonical snapshot is shard-count free.
+/// silently produce garbage. The executor shape (`executor_threads`,
+/// `batch_size`) and the `shards` label are deliberately **excluded**:
+/// restoring under a different width or chunk size is a supported (and
+/// tested) operation, because the canonical snapshot holds nothing
+/// executor-shaped.
 pub(crate) fn config_fingerprint(cfg: &FleetConfig) -> Value {
     obj(vec![
         ("seed", u64_hex(cfg.seed)),
@@ -675,10 +677,10 @@ mod tests {
         let mut other = cfg.clone();
         other.seed ^= 1;
         assert!(check_fingerprint(&other, &payload).is_err());
-        // Shard count is NOT part of the fingerprint: cross-shard-count
-        // restore is supported.
-        let mut resharded = cfg;
-        resharded.shards = 8;
-        assert!(check_fingerprint(&resharded, &payload).is_ok());
+        // Neither the shard label nor the executor shape is part of
+        // the fingerprint: restoring under another one is supported.
+        let mut reshaped = cfg.with_executor_threads(4).with_batch_size(7);
+        reshaped.shards = 8;
+        assert!(check_fingerprint(&reshaped, &payload).is_ok());
     }
 }

@@ -1,11 +1,13 @@
-//! Fleet scenario configuration and the vehicle → shard/tenant/region
-//! partition.
+//! Fleet scenario configuration and the vehicle → tenant/region
+//! mapping.
 //!
 //! Every mapping here is a pure function of the vehicle id and the
-//! fleet-wide counts — never of the shard count — which is the root of
-//! the engine's shard-count invariance: re-partitioning the same fleet
-//! across a different number of worker shards reassigns *where* each
-//! vehicle's events execute, but not *what* they compute.
+//! fleet-wide counts — never of the executor width or the chunk size —
+//! which is the root of the engine's determinism: regrouping the same
+//! fleet into different chunks on a different number of workers changes
+//! *where* each vehicle's events execute, but not *what* they compute.
+//! The `shards` field and the `shard_*` mappings survive only as the
+//! label telemetry stamps on spans; nothing is partitioned by them.
 //!
 //! Since the workload-class refactor the cost model is per
 //! [`WorkloadClass`]: each class carries its own bytes, service times,
@@ -254,7 +256,8 @@ impl IngestConfig {
 /// queues, mobility tracks, every ledger — into a versioned, checksummed
 /// snapshot every `interval_epochs` barriers, keeping the last `retain`
 /// generations. `FleetEngine::restore` resumes a run from any surviving
-/// snapshot, byte-identically and even into a different shard count.
+/// snapshot, byte-identically and even under a different executor width
+/// or chunk size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Barriers between snapshots: a snapshot is written at every epoch
@@ -367,7 +370,8 @@ pub enum FleetConfigError {
     /// `checkpoint.retain == 0`: every snapshot would be deleted the
     /// moment it was written.
     ZeroCheckpointRetention,
-    /// `batch_size == 0`: the tick phase could never make progress.
+    /// `batch_size == Some(0)`: the tick phase could never make
+    /// progress.
     ZeroBatchSize,
     /// `executor_threads == Some(0)`: the executor needs at least one
     /// worker.
@@ -469,6 +473,14 @@ impl fmt::Display for FleetConfigError {
 
 impl std::error::Error for FleetConfigError {}
 
+/// Default chunks of the vehicle arena per executor worker
+/// ([`FleetConfig::chunk_size`]).
+const CHUNKS_PER_WORKER: usize = 4;
+
+/// Smallest default arena chunk, in vehicles
+/// ([`FleetConfig::chunk_size`]).
+const MIN_CHUNK: usize = 64;
+
 /// Configuration for one fleet run.
 ///
 /// Defaults model the paper's setting scaled to a small city fleet:
@@ -481,7 +493,8 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Fleet size.
     pub vehicles: u32,
-    /// Worker shards the fleet is partitioned into (threads used).
+    /// Shard label stamped on telemetry spans (`shard_of`). It no
+    /// longer partitions the fleet or sizes the executor.
     pub shards: u32,
     /// Service tenants sharing the XEdge servers.
     pub tenants: u32,
@@ -524,9 +537,9 @@ pub struct FleetConfig {
     pub ingest: Option<IngestConfig>,
     /// Geo-mobility: when set, vehicles follow seeded route plans over
     /// a region graph, pay a cellular handoff at every region-boundary
-    /// crossing, and migrate their shard-side state to the destination
-    /// region's shard at epoch barriers. `None` pins every vehicle to
-    /// its initial region (the pre-mobility fleet).
+    /// crossing, and switch region at the next epoch barrier. `None`
+    /// pins every vehicle to its initial region (the pre-mobility
+    /// fleet).
     pub mobility: Option<MobilityConfig>,
     /// Capture sim-time telemetry (one request span per request plus
     /// per-epoch registry samples) during the run. Spans are derived
@@ -561,12 +574,14 @@ pub struct FleetConfig {
     /// `FleetEngine::run_supervised` can resume a crashed run from the
     /// newest valid generation. `None` disables checkpointing.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Vehicles per stealable batch in the epoch tick phase. Smaller
-    /// batches steal (and so balance) better at the cost of per-batch
-    /// overhead; the value is provably invisible in every report
-    /// (vehicles own their RNG streams and batch results merge in
-    /// canonical order), so it is purely a performance knob.
-    pub batch_size: u32,
+    /// Vehicles per stealable chunk of the arena in the epoch tick
+    /// phase. `None` derives it from the fleet size and the executor
+    /// width ([`FleetConfig::chunk_size`]). Smaller chunks steal (and so
+    /// balance) better at the cost of per-chunk overhead; the value is
+    /// provably invisible in every report (vehicles own their RNG
+    /// streams and chunk outputs fold in vehicle-id order), so it is
+    /// purely a performance knob.
+    pub batch_size: Option<u32>,
     /// Worker threads for the epoch tick phase's work-stealing
     /// executor. `None` sizes it to the machine
     /// (`available_parallelism`); any value is clamped the same way.
@@ -604,7 +619,7 @@ impl Default for FleetConfig {
             span_spill: None,
             span_sample: None,
             checkpoint: None,
-            batch_size: 32,
+            batch_size: None,
             executor_threads: None,
         }
     }
@@ -695,11 +710,11 @@ impl FleetConfig {
         self
     }
 
-    /// Sets the vehicles-per-batch granularity of the epoch tick phase
+    /// Pins the vehicles-per-chunk granularity of the epoch tick phase
     /// (a pure performance knob — see [`FleetConfig::batch_size`]).
     #[must_use]
     pub fn with_batch_size(mut self, batch_size: u32) -> Self {
-        self.batch_size = batch_size;
+        self.batch_size = Some(batch_size);
         self
     }
 
@@ -718,6 +733,21 @@ impl FleetConfig {
     pub fn executor_pool_size(&self) -> usize {
         self.executor_threads
             .map_or(usize::MAX, |threads| threads as usize)
+    }
+
+    /// Vehicles per tick-phase chunk on an executor of `workers`
+    /// threads: the configured `batch_size`, or else about four chunks
+    /// per worker, so an idle worker has chunks to steal, but never
+    /// fewer than 64 vehicles, so per-chunk overhead stays small
+    /// against the work.
+    #[must_use]
+    pub fn chunk_size(&self, workers: usize) -> usize {
+        match self.batch_size {
+            Some(size) => size as usize,
+            None => (self.vehicles as usize)
+                .div_ceil(workers.max(1) * CHUNKS_PER_WORKER)
+                .max(MIN_CHUNK),
+        }
     }
 
     /// Sum of the class-mix weights.
@@ -1099,7 +1129,7 @@ impl FleetConfig {
                 return Err(FleetConfigError::ZeroCheckpointRetention);
             }
         }
-        if self.batch_size == 0 {
+        if self.batch_size == Some(0) {
             return Err(FleetConfigError::ZeroBatchSize);
         }
         if self.executor_threads == Some(0) {
@@ -1165,18 +1195,18 @@ impl FleetConfig {
             - 1
     }
 
-    /// The shard that owns a *region* when mobility is on: contiguous
+    /// The shard label of a *region* when mobility is on: contiguous
     /// region blocks, the region-space analogue of
-    /// [`FleetConfig::shard_range`]. A vehicle lives on the shard of
-    /// its current region, so a boundary crossing can physically move
-    /// its state between worker threads at the next barrier.
+    /// [`FleetConfig::shard_range`]. A label only: the engine keeps
+    /// every vehicle in one arena whatever region it is in.
     #[must_use]
     pub fn shard_of_region(&self, region: u32) -> u32 {
         ((u64::from(region) * u64::from(self.shards)) / u64::from(self.regions)) as u32
     }
 
-    /// The home shard a vehicle starts on: its initial region's shard
-    /// when mobility is on, the contiguous id-range shard otherwise.
+    /// The shard label of a vehicle's starting position: its initial
+    /// region's shard when mobility is on, the contiguous id-range shard
+    /// otherwise.
     #[must_use]
     pub fn initial_shard_of(&self, vehicle: u32) -> u32 {
         if self.mobility.is_some() {

@@ -32,6 +32,15 @@
 //! a busy pool defers its shrink to a later barrier instead of
 //! cancelling in-flight work.
 //!
+//! ## Lane pick
+//!
+//! Every admitted request books the earliest-free lane of its target
+//! node, lowest lane index on ties. The serving pass keeps a per-node
+//! min-heap keyed `(free, lane index)` (`LaneHeap`), built once per
+//! pass after the node refresh and the elastic step, so a pick costs
+//! O(log lanes) instead of a scan over the whole pool — and, being keyed
+//! on exactly the scan's order, picks the same lane.
+//!
 //! ## Edge-tier chaos and the degradation ladder
 //!
 //! The lane pool is partitioned across `edge_nodes` physical XEdge
@@ -62,7 +71,8 @@
 //! allows inside its window is declared crash-looping and stays down
 //! for the rest of the run.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use vdap_edgeos::{
     ClassQueueKey, CrashLoopPolicy, FairQueue, LaneDecision, LaneScaler, TenantAdmission, TenantId,
@@ -193,6 +203,48 @@ struct Lane {
     free: SimTime,
 }
 
+/// Per-node min-heaps of `(free, lane index)` over the lane pool.
+///
+/// A node's top is exactly the lane a linear scan would pick — earliest
+/// free, lowest index on ties — and booking it re-keys the top in
+/// place. The heaps mirror `XEdgeServer::lanes` only inside a serving
+/// pass: [`LaneHeap::rebuild`] runs after every change to the pool that
+/// does not go through [`LaneHeap::rebook`].
+#[derive(Debug, Default)]
+struct LaneHeap {
+    by_node: Vec<BinaryHeap<Reverse<(SimTime, usize)>>>,
+}
+
+impl LaneHeap {
+    /// Rebuilds every node's heap from the pool, reusing allocations.
+    fn rebuild(&mut self, lanes: &[Lane], nodes: u32) {
+        self.by_node.resize_with(nodes as usize, BinaryHeap::new);
+        for heap in &mut self.by_node {
+            heap.clear();
+        }
+        for (i, lane) in lanes.iter().enumerate() {
+            self.by_node[lane.node as usize].push(Reverse((lane.free, i)));
+        }
+    }
+
+    /// `node`'s earliest-free lane and its free time (lowest index
+    /// breaks ties).
+    fn best(&self, node: u32) -> (usize, SimTime) {
+        let Reverse((free, lane)) = *self.by_node[node as usize]
+            .peek()
+            .expect("every node owns at least one lane");
+        (lane, free)
+    }
+
+    /// Books `node`'s best lane until `free`.
+    fn rebook(&mut self, node: u32, free: SimTime) {
+        let mut top = self.by_node[node as usize]
+            .peek_mut()
+            .expect("every node owns at least one lane");
+        top.0 .0 = free;
+    }
+}
+
 /// A request occupying a lane until `finish`.
 #[derive(Debug, Clone)]
 struct InFlight {
@@ -209,6 +261,8 @@ pub(crate) struct XEdgeServer {
     /// belongs to node `i % edge_nodes` (grown lanes keep the rule by
     /// joining round-robin).
     lanes: Vec<Lane>,
+    /// The lane pick's per-node heaps, rebuilt each serving pass.
+    lane_heap: LaneHeap,
     /// Requests currently occupying lanes, completion-pending.
     in_flight: Vec<InFlight>,
     /// Requests stripped off crashed lanes, awaiting the next pass.
@@ -280,6 +334,7 @@ impl XEdgeServer {
         }
         XEdgeServer {
             lanes,
+            lane_heap: LaneHeap::default(),
             in_flight: Vec::new(),
             requeued: Vec::new(),
             node_down: vec![false; nodes as usize],
@@ -400,17 +455,6 @@ impl XEdgeServer {
         self.lte.shared_among(concurrency.max(1.0) as u32)
     }
 
-    /// Earliest-free lane of `node` (lowest index breaks ties).
-    fn best_lane(&self, node: u32) -> usize {
-        self.lanes
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.node == node)
-            .min_by_key(|(i, l)| (l.free, *i))
-            .map(|(i, _)| i)
-            .expect("every node owns at least one lane")
-    }
-
     /// Runs the elastic step at `barrier`: one [`LaneScaler`] decision
     /// from the previous barrier's queue depth, applied to the lane
     /// pool, the contention capacity, and the per-tenant admission cap.
@@ -421,7 +465,7 @@ impl XEdgeServer {
         };
         let decision = scaler.decide(self.lanes.len() as u32, self.last_depth);
         // Never drop below one lane per node: the homing rule (and
-        // `best_lane`) requires every node to keep a lane.
+        // the lane pick) requires every node to keep a lane.
         let target = decision.lanes().max(self.edge_nodes) as usize;
         match decision {
             LaneDecision::Grow(_) => {
@@ -698,11 +742,11 @@ impl XEdgeServer {
         handoff: bool,
     ) {
         let ready = req.arrival + up + extra_latency;
-        let lane = self.best_lane(node);
-        let free = self.lanes[lane].free;
+        let (lane, free) = self.lane_heap.best(node);
         let start = if ready > free { ready } else { free };
         let finish = start + service;
         self.lanes[lane].free = finish;
+        self.lane_heap.rebook(node, finish);
         let e2e = finish.duration_since(req.arrival) + down;
         let energy_j = (up.as_secs_f64() + down.as_secs_f64()) * RADIO_W + extra_energy;
         let work = self.classes[req.class.index()].work_units;
@@ -729,15 +773,16 @@ impl XEdgeServer {
         });
     }
 
-    /// Serves one barrier's batch. The engine passes requests from all
-    /// shards; this method sorts them canonically, so input order (and
-    /// therefore shard count) cannot influence the outcome. `barrier`
-    /// is the global epoch-boundary instant — the only time at which
-    /// fault state and elastic decisions are sampled — and `rng` is the
-    /// engine-owned ladder stream, consumed in canonical order.
+    /// Serves one barrier's batch, draining `batch` (its allocation
+    /// stays with the caller for the next epoch). The requests are
+    /// sorted canonically here, so the order the engine gathered them
+    /// in cannot influence the outcome. `barrier` is the global
+    /// epoch-boundary instant — the only time at which fault state and
+    /// elastic decisions are sampled — and `rng` is the engine-owned
+    /// ladder stream, consumed in canonical order.
     pub fn serve_epoch(
         &mut self,
-        mut batch: Vec<EdgeRequest>,
+        batch: &mut Vec<EdgeRequest>,
         barrier: SimTime,
         injector: Option<&FaultInjector>,
         rng: &mut RngStream,
@@ -751,12 +796,15 @@ impl XEdgeServer {
         self.emit_completions(barrier, &mut outcome);
         self.scale_capacity(barrier, &mut outcome);
         self.refresh_quotas(injector, barrier);
+        // The lane pool is final for this pass: only `assign_lane`
+        // moves it from here on, and it keeps the heaps in step.
+        self.lane_heap.rebuild(&self.lanes, self.edge_nodes);
 
         // Per-region LTE sharing from this batch's uplink demand
         // (class-sized: a pBEAM gradient weighs more than a detection
         // frame). Summed in canonical batch order.
         let mut region_secs: BTreeMap<u32, f64> = BTreeMap::new();
-        for r in &batch {
+        for r in batch.iter() {
             let bytes = self.classes[r.class.index()].upload_bytes;
             let t = self.lte.transfer_time(Direction::Uplink, bytes);
             *region_secs.entry(r.region).or_insert(0.0) += t.as_secs_f64();
@@ -797,7 +845,7 @@ impl XEdgeServer {
                 queue.enqueue(key, spec.work_units, req);
             }
         }
-        for req in batch {
+        for req in batch.drain(..) {
             let tenant = TenantId::new(req.tenant);
             // With mobility on, the request admits through its current
             // region's gate — crossings concentrate vehicles, so the
@@ -1312,5 +1360,151 @@ impl XEdgeServer {
         };
         edge.last_depth = get_u64_hex(v, "last_depth")? as usize;
         Ok(edge)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vdap_sim::SeedFactory;
+
+    /// The linear scan the lane heap replaced: `node`'s earliest-free
+    /// lane, lowest index on ties.
+    fn linear_pick(lanes: &[Lane], node: u32) -> usize {
+        lanes
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.node == node)
+            .min_by_key(|(i, l)| (l.free, *i))
+            .map(|(i, _)| i)
+            .expect("every node owns at least one lane")
+    }
+
+    /// Sets every lane free at one of four 100 ms grid points from
+    /// `base`, so equal free times are common.
+    fn scramble(edge: &mut XEdgeServer, rng: &mut RngStream, base: SimTime) {
+        for lane in &mut edge.lanes {
+            lane.free = base + SimDuration::from_millis(100 * rng.below(4));
+        }
+    }
+
+    /// Rebuilds the heaps as a serving pass does, then books `rounds`
+    /// requests through `assign_lane`, checking that each one lands on
+    /// the lane the linear scan picks.
+    fn assert_picks_match_scan(
+        edge: &mut XEdgeServer,
+        rng: &mut RngStream,
+        barrier: SimTime,
+        rounds: u32,
+    ) {
+        edge.lane_heap.rebuild(&edge.lanes, edge.edge_nodes);
+        for seq in 0..rounds {
+            let node = rng.below(u64::from(edge.edge_nodes)) as u32;
+            let expected = linear_pick(&edge.lanes, node);
+            let before: Vec<SimTime> = edge.lanes.iter().map(|l| l.free).collect();
+            // Service times on the same 100 ms grid keep producing ties.
+            let service = SimDuration::from_millis(100 * (1 + rng.below(2)));
+            let req = EdgeRequest {
+                vehicle: seq,
+                seq,
+                tenant: 0,
+                region: node,
+                class: WorkloadClass::Detection,
+                arrival: barrier,
+                attempts: 0,
+                handoff: SimDuration::ZERO,
+            };
+            edge.assign_lane(
+                req,
+                node,
+                SimDuration::ZERO,
+                SimDuration::ZERO,
+                service,
+                SimDuration::ZERO,
+                0.0,
+                barrier,
+                0,
+                false,
+            );
+            let booked: Vec<usize> = (0..before.len())
+                .filter(|&i| edge.lanes[i].free != before[i])
+                .collect();
+            assert_eq!(booked, vec![expected], "node {node}");
+        }
+    }
+
+    #[test]
+    fn lane_heap_picks_what_the_linear_scan_picks() {
+        let mut rng = SeedFactory::new(7).stream("lane-pick");
+        for (capacity, nodes) in [(1, 1), (4, 4), (12, 3), (97, 5)] {
+            let cfg = FleetConfig {
+                edge_capacity: capacity,
+                edge_nodes: nodes,
+                ..FleetConfig::default()
+            };
+            let mut edge = XEdgeServer::new(&cfg);
+            for _ in 0..8 {
+                scramble(&mut edge, &mut rng, SimTime::ZERO);
+                assert_picks_match_scan(&mut edge, &mut rng, SimTime::ZERO, 64);
+            }
+        }
+    }
+
+    #[test]
+    fn lane_heap_tracks_a_pool_grown_then_shrunk_by_the_scaler() {
+        let mut rng = SeedFactory::new(11).stream("lane-pick");
+        // 16 nominal lanes on 4 nodes, elastic between 8 and 64.
+        let cfg = FleetConfig::default().with_elastic_capacity();
+        let mut edge = XEdgeServer::new(&cfg);
+        let mut barrier = SimTime::ZERO;
+        // A deep queue at every barrier grows the pool one lane at a
+        // time, round-robin over the nodes.
+        for _ in 0..11 {
+            barrier += cfg.epoch;
+            edge.last_depth = 10_000;
+            let mut outcome = EpochOutcome::default();
+            edge.scale_capacity(barrier, &mut outcome);
+            assert!(outcome.scaled_up);
+        }
+        assert_eq!(edge.lanes.len(), 27);
+        scramble(&mut edge, &mut rng, barrier);
+        assert_picks_match_scan(&mut edge, &mut rng, barrier, 200);
+        // Far past every booking, each lane is idle, so an empty queue
+        // shrinks the pool from its tail.
+        barrier += SimDuration::from_secs(600);
+        for _ in 0..6 {
+            barrier += cfg.epoch;
+            edge.last_depth = 0;
+            let mut outcome = EpochOutcome::default();
+            edge.scale_capacity(barrier, &mut outcome);
+            assert!(outcome.scaled_down);
+        }
+        assert_eq!(edge.lanes.len(), 21);
+        scramble(&mut edge, &mut rng, barrier);
+        assert_picks_match_scan(&mut edge, &mut rng, barrier, 200);
+    }
+
+    #[test]
+    fn lane_heap_sees_a_crashed_nodes_lanes_reset_to_the_barrier() {
+        let mut rng = SeedFactory::new(13).stream("lane-pick");
+        let cfg = FleetConfig::default().with_edge_node_crash(
+            1,
+            SimTime::from_secs(2),
+            SimDuration::from_secs(3),
+        );
+        let injector = cfg.chaos.as_ref().expect("chaos plan").compile();
+        let mut edge = XEdgeServer::new(&cfg);
+        // Every lane is booked past the crash barrier; the crash resets
+        // node 1's lanes to it, leaving that node's lanes all tied.
+        scramble(&mut edge, &mut rng, SimTime::from_secs(5));
+        let barrier = SimTime::from_secs(2);
+        edge.refresh_nodes(Some(&injector), barrier);
+        assert!(edge.node_down[1]);
+        assert!(edge
+            .lanes
+            .iter()
+            .filter(|l| l.node == 1)
+            .all(|l| l.free == barrier));
+        assert_picks_match_scan(&mut edge, &mut rng, barrier, 64);
     }
 }

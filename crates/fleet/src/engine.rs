@@ -1,31 +1,36 @@
-//! The sharded fleet engine: epoch loop, barriers, and the run report.
+//! The fleet engine: epoch loop, barriers, and the run report.
 //!
-//! ## Why an N-shard run is bit-identical to a 1-shard run
+//! Each epoch is a two-phase fork/join. The **tick** hands the
+//! persistent, id-ordered vehicle arena to the work-stealing
+//! [`WorkerPool`] as `chunks_mut(chunk_size)`; every chunk advances its
+//! vehicles to the epoch boundary into its own reusable output buffer.
+//! The **barrier** then runs single-threaded: it folds the chunk
+//! outputs in chunk order, serves the edge, runs the ingest and
+//! mobility passes, publishes the next V2V snapshot, enforces the
+//! telemetry budget, and writes checkpoints.
 //!
-//! 1. **Partition is id-keyed.** Tenant, region, route cohort and RNG
+//! ## Why every executor width and chunk size gives the same report
+//!
+//! 1. **Behaviour is id-keyed.** Tenant, region, route cohort and RNG
 //!    stream derive from the vehicle id alone ([`crate::FleetConfig`]),
-//!    so re-sharding moves vehicles between threads without changing
-//!    any vehicle's behaviour.
+//!    so which chunk or worker advances a vehicle cannot change what it
+//!    does.
 //! 2. **Epochs are conservative.** During an epoch a vehicle reads only
 //!    time-determined inputs (the fault timeline, the *previous*
 //!    barrier's V2V snapshot). Vehicles never observe same-epoch state
-//!    of any other vehicle — not even shard-mates — so the tick phase
-//!    can split each shard into fixed-size vehicle batches and fan them
-//!    out across the work-stealing [`WorkerPool`]: which worker runs a
-//!    batch, and in what order, is unobservable.
-//! 3. **Barriers are canonical.** All cross-vehicle coupling (XEdge
-//!    admission, fair queueing, contention, snapshot union, failover
-//!    reliability samples) happens single-threaded on globally sorted
-//!    data, so shard count, batch size, executor width and buffer
-//!    interleaving cannot leak in.
-//! 4. **Aggregation is order-free.** Per-shard metrics are integer
-//!    counters and [`vdap_sim::StreamingHistogram`]s whose merge is
-//!    associative and commutative bit-for-bit, and batch outputs are
-//!    folded back in canonical `(shard, vehicle id)` order regardless
-//!    of the steal schedule that produced them.
+//!    of any other vehicle, so which worker runs a chunk, and in what
+//!    order, is unobservable.
+//! 3. **Barriers are canonical.** Chunk outputs fold in chunk order,
+//!    which is vehicle-id order; all cross-vehicle coupling (XEdge
+//!    admission, fair queueing, contention, snapshot union) happens
+//!    single-threaded on globally sorted data, so chunk size, executor
+//!    width and the steal schedule cannot leak in.
+//! 4. **Aggregation is order-free.** Metrics are integer counters and
+//!    [`vdap_sim::StreamingHistogram`]s whose recording and merging are
+//!    associative and commutative bit-for-bit.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vdap_ckpt::json::Value;
 use vdap_ckpt::{
@@ -43,9 +48,12 @@ use vdap_obs::{
     intern_name, BarrierProfiler, HistogramState, JsonlSpillSink, RequestSpan, SpanOutcome,
     StreamingHistogram,
 };
-use vdap_offload::Tile;
 use vdap_sim::{ReliabilityStats, RngStream, SeedFactory, SimDuration, SimTime};
 
+use crate::arena::{
+    advance_chunk, dec_collab, dec_vehicle, enc_collab, enc_vehicle, fresh_arena,
+    region_label_table, ChunkOut, CollabSnapshot,
+};
 use crate::ckpt::{
     check_fingerprint, config_fingerprint, dur_field, enc_dur, enc_hist, enc_metrics, enc_opt_time,
     enc_reliability, enc_rng, enc_time, hist_field, metrics_field, opt_time_field,
@@ -56,16 +64,13 @@ use crate::config::{
     handoff_label, tenant_label, CheckpointConfig, FleetConfig, FleetConfigError, CKPT_STORE_LABEL,
     ENGINE_LABEL,
 };
-use crate::edge::{EpochOutcome, XEdgeServer};
+use crate::edge::{EdgeRequest, EpochOutcome, XEdgeServer};
 use crate::ingest::IngestPass;
 use crate::metrics::{FleetMetrics, FleetReport, FleetTelemetry};
 use crate::pool::WorkerPool;
-use crate::shard::{
-    dec_collab, dec_vehicle, enc_collab, enc_vehicle, region_label_table, CollabSnapshot, Shard,
-};
 use crate::vehicle::{VehicleState, BOARD_W, RADIO_W};
 
-/// Deterministic sharded fleet simulation engine.
+/// Deterministic fleet simulation engine.
 ///
 /// # Examples
 ///
@@ -85,7 +90,7 @@ pub struct FleetEngine {
 
 impl FleetEngine {
     /// Creates an engine for the given scenario, rejecting unusable
-    /// configurations (zero counts, more shards than vehicles, an epoch
+    /// configurations (zero counts, more tenants than vehicles, an epoch
     /// past the horizon, an empty class mix) with a descriptive
     /// [`FleetConfigError`] instead of a downstream panic or hang.
     pub fn try_new(cfg: FleetConfig) -> Result<Self, FleetConfigError> {
@@ -185,10 +190,10 @@ impl FleetEngine {
     /// Resumes a run from `snapshot` and drives it to the horizon.
     ///
     /// The snapshot must come from a scenario with the same fingerprint
-    /// (seed, fleet shape, subsystem toggles). The *shard count* is
-    /// deliberately not fingerprinted: a snapshot taken by an 8-shard
-    /// run restores into a 1-shard engine and vice versa, and the
-    /// resumed report's summary stays byte-identical either way.
+    /// (seed, fleet shape, subsystem toggles). The executor shape and
+    /// the shard label are deliberately not fingerprinted: a snapshot
+    /// taken at one executor width and chunk size restores under any
+    /// other, and the resumed report's summary stays byte-identical.
     pub fn restore(&self, snapshot: &Snapshot) -> Result<FleetReport, CkptError> {
         let ctx = RunCtx::new(&self.cfg);
         let started = Instant::now();
@@ -241,7 +246,11 @@ impl RunCtx {
 /// The complete mutable engine state carried across epoch barriers —
 /// exactly the set a snapshot serializes and a restore rebuilds.
 struct EngineState {
-    shards: Vec<Shard>,
+    /// Every vehicle, at index `id`, for the whole run.
+    vehicles: Vec<VehicleState>,
+    /// The V2V snapshot published at the previous barrier (read-only
+    /// during the tick).
+    collab: CollabSnapshot,
     edge: XEdgeServer,
     engine_metrics: FleetMetrics,
     reliability: ReliabilityStats,
@@ -250,9 +259,8 @@ struct EngineState {
     mobility: Option<MobilityPass>,
     ladder_rng: RngStream,
     epoch_index: u64,
-    /// Net events already accounted by pre-crash legs (0 on a fresh
-    /// run; a restore folds the writing run's shard ledgers into it).
-    events_base: u64,
+    /// Per-vehicle events (request ticks + ingest uploads) so far.
+    events: u64,
     /// Wall-clock snapshot diagnostics, carried across supervised legs.
     snapshots: SnapshotDiagnostics,
 }
@@ -262,9 +270,6 @@ impl EngineState {
     /// already written.
     fn fresh(ctx: &RunCtx) -> Self {
         let cfg = &ctx.cfg;
-        let shards: Vec<Shard> = (0..cfg.shards)
-            .map(|i| Shard::new(i, cfg, &ctx.seeds))
-            .collect();
         let mut reliability = ReliabilityStats::new();
 
         // The fault timeline is a pure function of the plan, so the
@@ -293,7 +298,8 @@ impl EngineState {
         }
 
         EngineState {
-            shards,
+            vehicles: fresh_arena(cfg, &ctx.seeds),
+            collab: CollabSnapshot::new(),
             edge: XEdgeServer::new(cfg),
             engine_metrics: FleetMetrics::new(),
             reliability,
@@ -314,11 +320,11 @@ impl EngineState {
                 .as_ref()
                 .map(|mob| MobilityPass::new(mob, cfg, &ctx.seeds)),
             // Ladder randomness is engine-owned and consumed in
-            // canonical batch order at barriers, so it is shard-count
-            // invariant.
+            // canonical order at barriers, so no grouping of the fleet
+            // can reach it.
             ladder_rng: ctx.seeds.stream("fleet-ladder"),
             epoch_index: 0,
-            events_base: 0,
+            events: 0,
             snapshots: SnapshotDiagnostics::default(),
         }
     }
@@ -342,7 +348,7 @@ enum RunEnd {
 ///
 /// With a `store` wired and a checkpoint config present, the complete
 /// state is snapshotted at every interval barrier — after the barrier's
-/// canonical exchange, when every cross-shard queue is drained and all
+/// canonical exchange, when every chunk buffer is drained and all
 /// scheduled events lie strictly beyond the barrier. `crashes` lists
 /// epoch barriers at which a supervised leg dies (empty on unsupervised
 /// paths).
@@ -356,55 +362,84 @@ fn run_core(
     let horizon = ctx.horizon;
     let injector = ctx.injector.as_deref();
     let pool = WorkerPool::new(cfg.executor_pool_size());
-    let batch_size = cfg.batch_size as usize;
+    let chunk = cfg.chunk_size(pool.threads());
+    // One output buffer per arena chunk, and one for the gathered edge
+    // requests, reused by every epoch of this leg.
+    let mut outs: Vec<ChunkOut> = state
+        .vehicles
+        .chunks(chunk)
+        .map(|_| ChunkOut::default())
+        .collect();
+    let mut requests: Vec<EdgeRequest> = Vec::new();
     // The profiler measures this leg's wall clock only — diagnostics,
     // so a resumed run legitimately reports a shorter profile.
-    let mut profiler = BarrierProfiler::new(pool.threads(), cfg.shards as usize);
+    let mut profiler = BarrierProfiler::new(pool.threads());
     loop {
         let end_raw = SimTime::ZERO + cfg.epoch * (state.epoch_index + 1);
         let end = if end_raw > horizon { horizon } else { end_raw };
 
-        // ---- tick phase: stealable vehicle batches, fork/join ----
-        // Split every shard's fleet into fixed-size batches and fan
-        // them out across the work-stealing pool. Each batch advances
-        // its vehicles to the barrier against the previous epoch's
-        // collab snapshot; the steal schedule is unobservable because
-        // every vehicle owns its RNG streams and every batch output is
-        // merged back in canonical order below.
-        let mut batches = Vec::new();
-        for (i, shard) in state.shards.iter_mut().enumerate() {
-            batches.extend(shard.batches(i, batch_size));
-        }
+        // ---- tick phase: stealable arena chunks, fork/join ----
+        // Each chunk advances its vehicles to the barrier against the
+        // previous epoch's collab snapshot, into its own buffer; the
+        // steal schedule is unobservable because every vehicle owns its
+        // RNG streams and the buffers fold in chunk order below.
+        let mut tasks: Vec<(&mut [VehicleState], &mut ChunkOut)> = state
+            .vehicles
+            .chunks_mut(chunk)
+            .zip(outs.iter_mut())
+            .collect();
         let wall_started = Instant::now();
-        let samples = pool.for_each_mut(&mut batches, |_, b| {
-            b.advance(cfg, injector, &ctx.region_labels, end);
+        let samples = pool.for_each_mut(&mut tasks, |_, (vehicles, out)| {
+            advance_chunk(
+                cfg,
+                injector,
+                &ctx.region_labels,
+                &state.collab,
+                vehicles,
+                out,
+                end,
+            );
         });
         let wall = wall_started.elapsed();
+        drop(tasks);
 
         // ---- barrier: single-threaded, canonical-order exchange ----
-        // The canonical merge is serial barrier work: shards ascending,
-        // batches in vehicle-id order within each shard.
         let barrier_started = Instant::now();
-        let mut shard_busy = vec![Duration::ZERO; state.shards.len()];
-        for b in &batches {
-            shard_busy[b.shard] += b.busy;
-        }
-        for b in batches {
-            let shard = b.shard;
-            state.shards[shard].merge(b);
-        }
-        profiler.record_epoch(wall, &samples, &shard_busy);
-        let mut batch = Vec::new();
+        profiler.record_epoch(wall, &samples);
         let mut ingest_batches = Vec::new();
-        let mut publications: Vec<(Tile, u32)> = Vec::new();
-        let mut failovers: Vec<(u32, u32, f64)> = Vec::new();
-        for shard in &mut state.shards {
-            batch.append(&mut shard.outbox);
-            ingest_batches.append(&mut shard.ingest_outbox);
-            publications.append(&mut shard.publications);
-            failovers.append(&mut shard.failover_samples);
+        let mut collab = CollabSnapshot::new();
+        let mut stale_hits = 0;
+        for out in &mut outs {
+            state.events += std::mem::take(&mut out.events);
+            stale_hits += std::mem::take(&mut out.stale_hits);
+            requests.append(&mut out.outbox);
+            ingest_batches.append(&mut out.ingest_outbox);
+            // Union this epoch's publications into the next snapshot;
+            // ties go to the smallest vehicle id (order-independent).
+            for (tile, producer) in out.publications.drain(..) {
+                collab
+                    .entry(tile)
+                    .and_modify(|p| *p = (*p).min(producer))
+                    .or_insert(producer);
+            }
+            let metrics = &mut state.engine_metrics;
+            for class in WorkloadClass::ALL {
+                let issued = std::mem::take(&mut out.requests[class.index()]);
+                metrics.record_requests(class, issued);
+            }
+            for r in out.collab.drain(..) {
+                metrics.record_collab(r.class, r.e2e, r.energy_j);
+            }
+            // Failover latencies feed an exact (order-sensitive)
+            // Summary; chunk order is `(vehicle, seq)` order.
+            for (r, ms) in out.failovers.drain(..) {
+                metrics.record_failover(r.class, r.e2e, r.energy_j);
+                state
+                    .reliability
+                    .record_failover(SimDuration::from_millis_f64(ms));
+            }
             if let Some(tel) = state.telemetry.as_mut() {
-                for span in shard.spans.drain(..) {
+                for span in out.spans.drain(..) {
                     tel.registry.inc(
                         match span.outcome {
                             SpanOutcome::CollabHit => "fleet.collab_hits",
@@ -417,18 +452,9 @@ fn run_core(
             }
         }
 
-        // Failover latencies feed an exact (order-sensitive) Summary,
-        // so sort them canonically before recording.
-        failovers.sort_unstable_by_key(|&(vehicle, seq, _)| (vehicle, seq));
-        for &(_, _, ms) in &failovers {
-            state
-                .reliability
-                .record_failover(SimDuration::from_millis_f64(ms));
-        }
-
         let outcome = state
             .edge
-            .serve_epoch(batch, end, injector, &mut state.ladder_rng);
+            .serve_epoch(&mut requests, end, injector, &mut state.ladder_rng);
         state
             .engine_metrics
             .queue_depth
@@ -461,7 +487,7 @@ fn run_core(
         if let Some(ing) = state.ingest.as_mut() {
             let epoch_start = SimTime::ZERO + cfg.epoch * state.epoch_index;
             ing.barrier(
-                std::mem::take(&mut ingest_batches),
+                ingest_batches,
                 end - epoch_start,
                 end,
                 state.epoch_index,
@@ -472,13 +498,14 @@ fn run_core(
         }
 
         // The geo-mobility pass: advance every seeded track across
-        // the epoch just completed, price region crossings, and
-        // migrate vehicles whose new region is homed on another
-        // shard — all single-threaded, in canonical vehicle order.
+        // the epoch just completed, price region crossings, and update
+        // each crosser's region in place — single-threaded, in
+        // canonical vehicle order.
         if let Some(mob) = state.mobility.as_mut() {
             let epoch_start = SimTime::ZERO + cfg.epoch * state.epoch_index;
+            mob.metrics.stale_cache_hits += stale_hits;
             mob.barrier(
-                &mut state.shards,
+                &mut state.vehicles,
                 &mut state.edge,
                 state.ingest.as_mut(),
                 injector,
@@ -492,23 +519,7 @@ fn run_core(
             );
         }
 
-        // Union this epoch's publications into the next snapshot;
-        // ties go to the smallest vehicle id (order-independent).
-        let mut snapshot = CollabSnapshot::new();
-        for (tile, producer) in publications {
-            snapshot
-                .entry(tile)
-                .and_modify(|p| {
-                    if producer < *p {
-                        *p = producer;
-                    }
-                })
-                .or_insert(producer);
-        }
-        let snapshot = Arc::new(snapshot);
-        for shard in &mut state.shards {
-            shard.snapshot = Arc::clone(&snapshot);
-        }
+        state.collab = collab;
 
         // Telemetry budget enforcement is the last barrier step, after
         // every span drain and series sample of the epoch, so the
@@ -554,23 +565,15 @@ fn run_core(
         state.telemetry.as_mut(),
     );
 
-    // Merge shard-local metrics (associative + commutative). Events
-    // are per-vehicle tick/upload fires, so the ledger is independent
-    // of which shard (or worker) a vehicle happened to run on.
-    let mut metrics = state.engine_metrics;
-    let mut events_processed = state.events_base;
-    for shard in &state.shards {
-        events_processed += shard.events;
-        metrics.merge(&shard.metrics);
-    }
+    let metrics = state.engine_metrics;
     if let Some(tel) = state.telemetry.as_mut() {
         tel.registry.inc("fleet.requests", metrics.requests);
         // With spill configured, the horizon tail goes to disk too, so
         // the JSONL segments hold the complete post-sampling stream.
         tel.final_flush(state.epoch_index);
         // Insertion order interleaves vehicle-side and edge-side
-        // resolutions arbitrarily; canonical order restores a
-        // shard-count-invariant log.
+        // resolutions; canonical order makes the log independent of
+        // when each request resolved.
         tel.spans.sort_canonical();
     }
     let region_availability = state
@@ -587,12 +590,11 @@ fn run_core(
         vehicles: cfg.vehicles,
         shards: cfg.shards,
         duration: cfg.duration,
-        events_processed,
+        events_processed: state.events,
         admission_offered: state.edge.offered(),
         admission_rejected: state.edge.rejected(),
         mobility: state.mobility.as_ref().map(|m| m.metrics.clone()),
         region_admission: state.edge.region_admission_table(),
-        physical_migrations: state.mobility.as_ref().map_or(0, |m| m.physical_migrations),
         ingest: state.ingest.as_mut().map(IngestPass::finish),
         telemetry: state.telemetry,
         profile: profiler.finish(),
@@ -647,38 +649,23 @@ fn write_snapshot(
 
 /// The complete deterministic engine state as a canonical JSON value.
 ///
-/// Shard-local metrics and event counts are folded into the engine
-/// totals before encoding and vehicles are listed in id order, so a
-/// snapshot is *canonical*: every shard count serializes the same
-/// scenario at the same barrier to the same payload — which is what
-/// lets a snapshot restore into a different shard count.
+/// Every chunk buffer is drained at a barrier and the arena is in id
+/// order, so a snapshot is *canonical*: every executor width and chunk
+/// size serializes the same scenario at the same barrier to the same
+/// payload — which is what lets a snapshot restore under another.
 fn snapshot_payload(cfg: &FleetConfig, state: &EngineState) -> Value {
-    let mut metrics = state.engine_metrics.clone();
-    let mut events = state.events_base;
-    for shard in &state.shards {
-        events += shard.events;
-        metrics.merge(&shard.metrics);
-    }
-    let mut vehicles: Vec<&VehicleState> = state
-        .shards
-        .iter()
-        .flat_map(|s| s.vehicles.values())
-        .collect();
-    vehicles.sort_unstable_by_key(|v| v.id);
-    // Post-barrier, every shard holds the same collab Arc.
-    let collab: &CollabSnapshot = &state.shards[0].snapshot;
     obj(vec![
         ("config", config_fingerprint(cfg)),
         ("epoch", u64_hex(state.epoch_index)),
-        ("events_base", u64_hex(events)),
+        ("events", u64_hex(state.events)),
         ("ladder_rng", enc_rng(&state.ladder_rng)),
-        ("metrics", enc_metrics(&metrics)),
+        ("metrics", enc_metrics(&state.engine_metrics)),
         ("reliability", enc_reliability(&state.reliability)),
         (
             "vehicles",
-            Value::Array(vehicles.into_iter().map(enc_vehicle).collect()),
+            Value::Array(state.vehicles.iter().map(enc_vehicle).collect()),
         ),
-        ("collab", enc_collab(collab)),
+        ("collab", enc_collab(&state.collab)),
         ("edge", state.edge.ckpt()),
         (
             "ingest",
@@ -701,9 +688,9 @@ fn snapshot_payload(cfg: &FleetConfig, state: &EngineState) -> Value {
 /// Rebuilds a complete [`EngineState`] from a decoded snapshot payload.
 ///
 /// Everything that is a pure function of the scenario — the region
-/// graph, contention curves, retry policies, label tables, and the
-/// vehicle → shard residency map — is *recomputed*, never deserialized,
-/// which is exactly why the restoring engine's shard count is free to
+/// graph, contention curves, retry policies, label tables — is
+/// *recomputed*, never deserialized, and nothing executor-shaped is
+/// stored, so the restoring engine's width and chunk size are free to
 /// differ from the writing run's.
 fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, CkptError> {
     let cfg = &ctx.cfg;
@@ -715,11 +702,11 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
             "snapshot epoch {epoch_index} outside the run's open interval"
         )));
     }
-    let events_base = get_u64_hex(payload, "events_base")?;
+    let events = get_u64_hex(payload, "events")?;
     let ladder_rng = rng_field(payload, "ladder_rng")?;
     let engine_metrics = metrics_field(payload, "metrics")?;
     let reliability = reliability_field(payload, "reliability")?;
-    let collab = Arc::new(dec_collab(payload, "collab")?);
+    let collab = dec_collab(payload, "collab")?;
 
     let mobility = match (get(payload, "mobility")?, cfg.mobility.is_some()) {
         (Value::Null, false) => None,
@@ -739,25 +726,14 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
             cfg.vehicles
         )));
     }
-    let mut buckets: Vec<Vec<VehicleState>> = (0..cfg.shards).map(|_| Vec::new()).collect();
-    for enc in vehicles_enc {
+    let mut vehicles = Vec::with_capacity(vehicles_enc.len());
+    for (i, enc) in vehicles_enc.iter().enumerate() {
         let v = dec_vehicle(cfg, enc)?;
-        if v.id >= cfg.vehicles {
-            return Err(CkptError::new(format!("vehicle id {} out of range", v.id)));
+        if v.id as usize != i {
+            return Err(CkptError::new(format!("vehicle {i} carries id {}", v.id)));
         }
-        // The host shard is an invariant of the vehicle's *current*
-        // region under THIS engine's partition, not the writer's.
-        let host = match mobility.as_ref() {
-            Some(mob) => cfg.shard_of_region(mob.tracks[v.id as usize].region()),
-            None => cfg.initial_shard_of(v.id),
-        };
-        buckets[host as usize].push(v);
+        vehicles.push(v);
     }
-    let shards: Vec<Shard> = buckets
-        .into_iter()
-        .enumerate()
-        .map(|(i, vehicles)| Shard::restore(i as u32, cfg, vehicles, Arc::clone(&collab)))
-        .collect();
 
     let edge = XEdgeServer::restore_ckpt(cfg, get(payload, "edge")?)?;
     let ingest = match (get(payload, "ingest")?, cfg.ingest.is_some()) {
@@ -799,7 +775,8 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
     };
 
     Ok(EngineState {
-        shards,
+        vehicles,
+        collab,
         edge,
         engine_metrics,
         reliability,
@@ -808,7 +785,7 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
         mobility,
         ladder_rng,
         epoch_index,
-        events_base,
+        events,
         snapshots: SnapshotDiagnostics::default(),
     })
 }
@@ -1182,22 +1159,17 @@ fn dec_mobility_metrics(v: &Value) -> Result<MobilityMetrics, CkptError> {
 
 /// The engine-owned geo-mobility pass.
 ///
-/// All mobility state — the seeded region graph, every vehicle's route
-/// track, and the vehicle → shard residency table — lives on the engine
-/// thread and advances only at barriers, so crossings are a pure
-/// function of `(seed, vehicle, epoch)` and never of shard count. The
-/// pass runs in canonical vehicle-id order; only the *physical* evict/
-/// adopt moves depend on how many shards this run happens to use, and
-/// those feed diagnostics, never the deterministic ledger.
+/// All mobility state — the seeded region graph and every vehicle's
+/// route track — lives on the engine thread and advances only at
+/// barriers, in canonical vehicle-id order, so crossings are a pure
+/// function of `(seed, vehicle, epoch)`. A crossing updates the
+/// vehicle's arena entry in place.
 struct MobilityPass {
     graph: RegionGraph,
     tracks: Vec<VehicleTrack>,
-    /// Which shard currently hosts each vehicle.
-    host: Vec<u32>,
     channel: CellularChannel,
     handoff_labels: Vec<String>,
     metrics: MobilityMetrics,
-    physical_migrations: u64,
     crossings_buf: Vec<Crossing>,
 }
 
@@ -1225,22 +1197,15 @@ impl MobilityPass {
         MobilityPass {
             graph,
             tracks,
-            host: (0..cfg.vehicles)
-                .map(|id| cfg.initial_shard_of(id))
-                .collect(),
             channel: CellularChannel::calibrated(),
             handoff_labels: (0..cfg.regions).map(handoff_label).collect(),
             metrics: MobilityMetrics::new(),
-            physical_migrations: 0,
             crossings_buf: Vec::new(),
         }
     }
 
-    /// Serializes the pass: every route track (in vehicle-id order),
-    /// the mobility ledger, and the physical-migration diagnostic. The
-    /// host table is *not* stored — it is recomputable from each
-    /// track's current region, and storing it would pin the writer's
-    /// shard count.
+    /// Serializes the pass: every route track (in vehicle-id order) and
+    /// the mobility ledger.
     fn ckpt(&self) -> Value {
         obj(vec![
             (
@@ -1253,14 +1218,12 @@ impl MobilityPass {
                 ),
             ),
             ("metrics", enc_mobility_metrics(&self.metrics)),
-            ("physical_migrations", u64_hex(self.physical_migrations)),
         ])
     }
 
-    /// Rebuilds the pass for this engine's shard count: the region
-    /// graph and channel are re-derived from the seed, the tracks come
-    /// from the snapshot, and the host table is recomputed from each
-    /// track's current region.
+    /// Rebuilds the pass: the region graph and channel are re-derived
+    /// from the seed, the tracks and the ledger come from the
+    /// snapshot.
     fn restore_ckpt(
         cfg: &FleetConfig,
         seeds: &SeedFactory,
@@ -1297,28 +1260,22 @@ impl MobilityPass {
             }
             tracks.push(VehicleTrack::from_snapshot(snap));
         }
-        let host = tracks
-            .iter()
-            .map(|t| cfg.shard_of_region(t.region()))
-            .collect();
         Ok(MobilityPass {
             graph,
             tracks,
-            host,
             channel: CellularChannel::calibrated(),
             handoff_labels: (0..cfg.regions).map(handoff_label).collect(),
             metrics: dec_mobility_metrics(get(v, "metrics")?)?,
-            physical_migrations: get_u64_hex(v, "physical_migrations")?,
             crossings_buf: Vec::new(),
         })
     }
 
     /// One barrier's mobility step, covering the epoch
-    /// `[epoch_start, end]` the shards just finished.
+    /// `[epoch_start, end]` the tick just finished.
     #[allow(clippy::too_many_arguments)]
     fn barrier(
         &mut self,
-        shards: &mut [Shard],
+        vehicles: &mut [VehicleState],
         edge: &mut XEdgeServer,
         mut ingest: Option<&mut IngestPass>,
         injector: Option<&FaultInjector>,
@@ -1331,14 +1288,11 @@ impl MobilityPass {
         epoch_index: u64,
     ) {
         // Vehicles that crossed at the *previous* barrier spent the
-        // epoch with a cold collab cache: drain the suppressed-hit
-        // counters and clear every flag before marking this barrier's
-        // crossers.
-        for shard in shards.iter_mut() {
-            self.metrics.stale_cache_hits += std::mem::take(&mut shard.stale_hits);
-            for v in shard.vehicles.values_mut() {
-                v.cache_stale = false;
-            }
+        // epoch with a cold collab cache (the engine has already
+        // counted its suppressed hits): clear every flag before marking
+        // this barrier's crossers.
+        for v in vehicles.iter_mut() {
+            v.cache_stale = false;
         }
 
         // Congestion multipliers from pre-advance occupancy: every
@@ -1393,8 +1347,7 @@ impl MobilityPass {
                 self.metrics.handoff_ms.record_duration(cost);
                 self.metrics.crossing_speed_mph.record(c.speed.0);
                 // `migrations` counts home-node *domain* changes — the
-                // canonical placement function — so the ledger is
-                // byte-identical at any shard count.
+                // canonical placement function of a region.
                 if c.from % cfg.edge_nodes != c.to % cfg.edge_nodes {
                     self.metrics.migrations += 1;
                     epoch_migrations += 1;
@@ -1406,33 +1359,16 @@ impl MobilityPass {
                 handoff += cost;
             }
 
-            // The vehicle's shard-side state: handoff debt lands on its
-            // next request, the region moves, the collab cache goes
+            // The vehicle's own state, in place: handoff debt lands on
+            // its next request, the region moves, the collab cache goes
             // stale for one epoch.
             let dest = self.tracks[id as usize].region();
-            let host = self.host[id as usize] as usize;
-            {
-                let v = shards[host]
-                    .vehicles
-                    .get_mut(&id)
-                    .expect("host table tracks residency");
-                v.pending_handoff += handoff;
-                v.region = dest;
-                v.cache_stale = true;
-            }
+            let v = &mut vehicles[id as usize];
+            v.pending_handoff += handoff;
+            v.region = dest;
+            v.cache_stale = true;
             if let Some(ing) = ingest.as_deref_mut() {
                 self.metrics.readdressed_batches += ing.readdress(u64::from(id), dest);
-            }
-
-            // Physical migration: move the whole vehicle to the shard
-            // owning its new region. Shard-count dependent, so it only
-            // feeds diagnostics.
-            let target = cfg.shard_of_region(dest);
-            if target != self.host[id as usize] {
-                let v = shards[host].evict(id).expect("resident vehicle");
-                shards[target as usize].adopt(v);
-                self.host[id as usize] = target;
-                self.physical_migrations += 1;
             }
         }
 
@@ -1473,7 +1409,7 @@ const fn rejected_series(class: WorkloadClass) -> &'static str {
 
 /// Samples the per-epoch time series at one barrier. Every sampled
 /// value is an output of the canonical single-threaded serving pass,
-/// so the series are shard-count invariant by construction.
+/// so the series are executor-invariant by construction.
 fn sample_epoch(tel: &mut FleetTelemetry, outcome: &EpochOutcome, epoch: u64, at: SimTime) {
     tel.registry
         .sample("xedge.queue_depth", epoch, at, outcome.queue_depth as f64);
@@ -1681,8 +1617,13 @@ fn record_tenant_ledger(
 mod tests {
     use super::*;
 
-    fn small(shards: u32) -> FleetConfig {
-        let mut cfg = FleetConfig::sized(96, shards);
+    /// 96 vehicles for 10 s on `workers` executor threads, one arena
+    /// chunk per worker, under the shard label `workers` (the tests
+    /// below compare widths 1 and 4 or 1 and 3).
+    fn small(workers: u32) -> FleetConfig {
+        let mut cfg = FleetConfig::sized(96, workers)
+            .with_executor_threads(workers)
+            .with_batch_size(96 / workers);
         cfg.duration = SimDuration::from_secs(10);
         cfg
     }
@@ -1762,8 +1703,8 @@ mod tests {
         assert!(report.reliability.mttr().mean() > 0.0);
         assert!(report.reliability.retry_count() > 0);
         assert!(report.reliability.total_degraded_time() > SimDuration::ZERO);
-        // The whole chaos story is still byte-identical across shard
-        // counts.
+        // The whole chaos story is still byte-identical across executor
+        // widths and chunk sizes.
         assert_eq!(build(1).summary(), build(4).summary());
     }
 

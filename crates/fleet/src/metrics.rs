@@ -1,10 +1,12 @@
-//! Fleet observability: mergeable per-shard metrics and the run report.
+//! Fleet observability: mergeable fleet metrics and the run report.
 //!
-//! Shards keep local [`FleetMetrics`]; the engine merges them with the
-//! engine-side metrics at the end of a run. Every field is either an
-//! integer counter, a [`StreamingHistogram`], or a key-summed map, so
-//! the merge is associative and commutative bit-for-bit — the property
-//! the shard-count-invariance test (`tests/props.rs`) pins down.
+//! The engine keeps one [`FleetMetrics`] and folds every outcome into it
+//! at the epoch barriers: the vehicle side's counters and raw samples in
+//! chunk (vehicle-id) order, the serving pass's outcomes in canonical
+//! order. Every field is either an integer counter, a
+//! [`StreamingHistogram`], or a key-summed map, so recording and merging
+//! are associative and commutative bit-for-bit — which is why no
+//! grouping of the fleet can reach a report (`tests/props.rs`).
 //!
 //! Since the workload-class refactor the request stream is accounted
 //! twice: fleet-wide (the legacy counters and histograms) and per
@@ -174,14 +176,14 @@ impl FleetMetrics {
     //
     // Every request outcome is accounted twice — fleet-wide and per
     // class — and both views must stay in lock-step. These helpers are
-    // the only place the double bookkeeping happens: callers (the shard
-    // tick and the engine's barrier pass) record an outcome exactly
-    // once and cannot drift the two views apart.
+    // the only place the double bookkeeping happens: callers (the
+    // engine's barrier passes) record an outcome exactly once and cannot
+    // drift the two views apart.
 
-    /// Records a request being issued.
-    pub(crate) fn record_request(&mut self, class: WorkloadClass) {
-        self.requests += 1;
-        self.class_mut(class).requests += 1;
+    /// Records `n` requests of one class being issued.
+    pub(crate) fn record_requests(&mut self, class: WorkloadClass, n: u64) {
+        self.requests += n;
+        self.class_mut(class).requests += n;
     }
 
     /// Records a request served by the XEdge deployment.
@@ -258,7 +260,7 @@ impl FleetMetrics {
         cm.e2e_latency_ms.record_duration(e2e);
     }
 
-    /// Merges another shard's metrics into this one (order-independent).
+    /// Merges another run's metrics into this one (order-independent).
     pub fn merge(&mut self, other: &FleetMetrics) {
         self.e2e_latency_ms.merge(&other.e2e_latency_ms);
         self.energy_per_request_j.merge(&other.energy_per_request_j);
@@ -456,7 +458,7 @@ pub struct RegionAdmission {
 /// The result of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
-    /// Merged fleet metrics (all shards + engine).
+    /// Fleet metrics (vehicle side + serving side).
     pub metrics: FleetMetrics,
     /// Fleet-level reliability accounting (regional outages, node
     /// crashes, per-tenant MTTR, failovers, degraded-mode seconds).
@@ -466,11 +468,12 @@ pub struct FleetReport {
     pub region_availability: Vec<(String, f64)>,
     /// Vehicles simulated.
     pub vehicles: u32,
-    /// Shards the run used (excluded from [`FleetReport::summary`]).
+    /// The config's shard label (excluded from [`FleetReport::summary`];
+    /// it no longer partitions the fleet).
     pub shards: u32,
     /// Simulated duration.
     pub duration: SimDuration,
-    /// Total discrete events processed across shards.
+    /// Total discrete events processed across the fleet.
     pub events_processed: u64,
     /// Requests offered to the XEdge admission gate.
     pub admission_offered: u64,
@@ -483,15 +486,12 @@ pub struct FleetReport {
     /// Per-region admission accounting, present only under mobility
     /// (indexed by region id).
     pub region_admission: Option<Vec<RegionAdmission>>,
-    /// Vehicles physically moved between worker shards at barriers.
-    /// Depends on the shard count, so it appears only in
-    /// [`FleetReport::diagnostics`], never in the summary.
-    pub physical_migrations: u64,
     /// DDI ingestion accounting, when the ingestion pipeline ran.
     pub ingest: Option<IngestMetrics>,
     /// Sim-time telemetry (spans + registry), when enabled.
     pub telemetry: Option<FleetTelemetry>,
-    /// Wall-clock engine profile: per-shard busy and barrier-idle time.
+    /// Wall-clock engine profile: per-worker busy and barrier-idle
+    /// time, steals, and serial barrier time.
     /// Always captured; reported only via [`FleetReport::diagnostics`],
     /// never in the deterministic [`FleetReport::summary`].
     pub profile: EngineProfile,
@@ -516,11 +516,11 @@ impl FleetReport {
     /// A canonical multi-line text summary of the run's aggregate
     /// metrics.
     ///
-    /// Deliberately excludes the shard count and any wall-clock figure:
-    /// same-seed runs with different shard counts must produce
-    /// **byte-identical** summaries, which is the fleet engine's
-    /// determinism contract (and is enforced by `repro -- fleet` and the
-    /// property tests).
+    /// Deliberately excludes the shard label, the executor shape and
+    /// any wall-clock figure: same-seed runs at any executor width and
+    /// chunk size must produce **byte-identical** summaries, which is
+    /// the fleet engine's determinism contract (and is enforced by
+    /// `repro -- fleet` and the property tests).
     #[must_use]
     pub fn summary(&self) -> String {
         let m = &self.metrics;
@@ -691,13 +691,13 @@ impl FleetReport {
         out
     }
 
-    /// The wall-clock diagnostics block: shard count, per-shard busy and
-    /// barrier-idle time, serial barrier time, and telemetry volume.
+    /// The wall-clock diagnostics block: shard label, per-worker busy
+    /// and barrier-idle time, serial barrier time, and telemetry volume.
     ///
     /// This is the *nondeterministic* counterpart of
-    /// [`FleetReport::summary`] — wall-clock readings differ run to run
-    /// and shard count legitimately appears here, so nothing in this
-    /// block may ever feed a byte-identity comparison.
+    /// [`FleetReport::summary`] — wall-clock readings differ run to run,
+    /// so nothing in this block may ever feed a byte-identity
+    /// comparison.
     #[must_use]
     pub fn diagnostics(&self) -> String {
         let mut out = String::new();
@@ -707,13 +707,6 @@ impl FleetReport {
             self.shards
         );
         out.push_str(&self.profile.render());
-        if self.mobility.is_some() {
-            let _ = writeln!(
-                out,
-                "mobility_physical: cross_shard_moves={} (depends on shard count)",
-                self.physical_migrations
-            );
-        }
         if let Some(tel) = &self.telemetry {
             let series = tel.registry.all_series().count();
             let _ = writeln!(
@@ -785,7 +778,7 @@ mod tests {
     #[test]
     fn recorders_keep_class_and_aggregate_views_in_lockstep() {
         let mut m = FleetMetrics::new();
-        m.record_request(WorkloadClass::Detection);
+        m.record_requests(WorkloadClass::Detection, 1);
         m.record_served(
             WorkloadClass::Detection,
             1,
@@ -793,21 +786,21 @@ mod tests {
             SimDuration::from_millis(12),
             0.5,
         );
-        m.record_request(WorkloadClass::Detection);
+        m.record_requests(WorkloadClass::Detection, 1);
         m.record_collab(WorkloadClass::Detection, SimDuration::from_millis(3), 0.01);
-        m.record_request(WorkloadClass::Infotainment);
+        m.record_requests(WorkloadClass::Infotainment, 1);
         m.record_rejected(
             WorkloadClass::Infotainment,
             SimDuration::from_millis(40),
             1.0,
         );
-        m.record_request(WorkloadClass::Infotainment);
+        m.record_requests(WorkloadClass::Infotainment, 1);
         m.record_failover(
             WorkloadClass::Infotainment,
             SimDuration::from_millis(50),
             1.1,
         );
-        m.record_request(WorkloadClass::PbeamTraining);
+        m.record_requests(WorkloadClass::PbeamTraining, 1);
         m.record_fallback(
             WorkloadClass::PbeamTraining,
             SimDuration::from_millis(10),
@@ -849,7 +842,6 @@ mod tests {
             admission_rejected: 0,
             mobility: None,
             region_admission: None,
-            physical_migrations: 0,
             ingest: None,
             telemetry: Some(FleetTelemetry::default()),
             profile: EngineProfile {
@@ -860,7 +852,6 @@ mod tests {
                     std::time::Duration::from_millis(1),
                     std::time::Duration::ZERO,
                 ],
-                shard_busy: vec![std::time::Duration::from_millis(5); 2],
                 barrier: std::time::Duration::from_millis(2),
                 epochs: 4,
             },
@@ -869,7 +860,6 @@ mod tests {
         let d = report.diagnostics();
         assert!(d.contains("shards=2"));
         assert!(d.contains("worker[0]:"));
-        assert!(d.contains("shard[0]:"));
         assert!(d.contains("barrier_idle_ms="));
         assert!(d.contains("steals="));
         assert!(d.contains("telemetry: spans=0"));
@@ -918,7 +908,6 @@ mod tests {
             admission_rejected: 0,
             mobility: None,
             region_admission: None,
-            physical_migrations: 0,
             ingest: None,
             telemetry: None,
             profile: EngineProfile::default(),

@@ -1,5 +1,5 @@
-//! Persistent work-stealing executor for shard advancement and
-//! parameter sweeps.
+//! Persistent work-stealing executor for the epoch tick and parameter
+//! sweeps.
 //!
 //! The fleet engine needs "run these N independent chunks of work on at
 //! most K OS threads, return results in input order" — but it needs it
@@ -20,9 +20,9 @@
 //!
 //! The steal schedule is wall-clock-dependent and therefore
 //! nondeterministic — which is why callers must only submit work whose
-//! *outputs* are order-free (the fleet's vehicle batches each own their
-//! seeded RNG streams and private output buffers, and the engine merges
-//! batch results in canonical order). Results of [`WorkerPool::map`]
+//! *outputs* are order-free (each chunk of the fleet's vehicle arena
+//! owns its vehicles' seeded RNG streams and a private output buffer,
+//! and the engine folds the buffers in chunk order). Results of [`WorkerPool::map`]
 //! are returned in input order regardless of which worker ran them, so
 //! pool size never affects determinism.
 

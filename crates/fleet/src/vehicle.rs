@@ -4,8 +4,9 @@
 //! request every `request_period` (±10% deterministic jitter from its
 //! own RNG stream) regardless of how earlier requests fared. All
 //! per-vehicle randomness comes from `SeedFactory::indexed_stream`
-//! keyed by the vehicle id — never by shard — so the same vehicle
-//! replays the same decisions no matter which worker thread hosts it.
+//! keyed by the vehicle id — never by its arena chunk — so the same
+//! vehicle replays the same decisions no matter which worker thread
+//! advances it.
 
 use vdap_offload::Tile;
 use vdap_sim::{RngStream, SimDuration, SimTime};
@@ -43,15 +44,9 @@ pub(crate) struct DdiUplink {
     pub seq: u32,
 }
 
-/// One simulated vehicle.
-///
-/// With mobility enabled this struct is the *complete* migratable unit:
-/// when a vehicle's region crossing moves it to another shard, the
-/// engine evicts this value from the source shard's map and adopts it
-/// into the destination's at the barrier — RNG streams, sequence
-/// counters, DDI uplink state and the stored next-event times all move
-/// together, so the vehicle's decision streams replay identically no
-/// matter how often it migrates.
+/// One simulated vehicle: its complete private state, stored at index
+/// `id` of the engine's arena for the whole run. A region crossing
+/// updates `region`, `pending_handoff` and `cache_stale` in place.
 #[derive(Debug)]
 pub(crate) struct VehicleState {
     /// Fleet-wide vehicle id.
@@ -61,18 +56,14 @@ pub(crate) struct VehicleState {
     /// LTE region the vehicle currently drives in (fixed for the run
     /// unless mobility is on).
     pub region: u32,
-    /// Private random stream (seeded by vehicle id, not shard).
+    /// Private random stream (seeded by vehicle id).
     pub rng: RngStream,
     /// Next request sequence number.
     pub seq: u32,
     /// DDI uplink state (`Some` iff ingestion is enabled).
     pub ddi: Option<DdiUplink>,
-    /// Migration generation: bumped every time the vehicle is evicted
-    /// from a shard, so scheduled events from a previous residence are
-    /// recognized as orphans instead of double-firing.
-    pub generation: u32,
     /// When the next request tick is due (`None` once past the
-    /// horizon); lets the engine reschedule the tick after a migration.
+    /// horizon); a restored run resumes the timeline from it.
     pub next_tick: Option<SimTime>,
     /// When the next ingest upload is due (`None` when ingestion is off
     /// or past the horizon).

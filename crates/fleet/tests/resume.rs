@@ -1,19 +1,25 @@
 //! Crash–resume determinism: a supervised run that dies at an epoch
 //! barrier and resumes from a durable snapshot must reproduce the
 //! straight run's report byte-for-byte — through snapshot-store chaos
-//! (torn writes, bit rot) and even when the restoring engine uses a
-//! different shard count than the writer.
+//! (torn writes, bit rot), past snapshots of an older format, and even
+//! when the restoring engine uses a different executor width and chunk
+//! size than the writer.
+
+mod common;
 
 use std::sync::OnceLock;
 
+use common::executor_grid;
 use proptest::prelude::*;
+use vdap_ckpt::json::Value;
+use vdap_ckpt::{fnv1a64, obj, u64_hex, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use vdap_fleet::{FleetConfig, FleetEngine, FleetReport, Snapshot, SnapshotStore};
 use vdap_sim::{SimDuration, SimTime};
 
 /// The full-stack scenario: ingest + mobility + telemetry, snapshots
 /// every 4 epochs (the 8 s run has 16), keep-last-3 retention.
-fn full_stack_config(seed: u64, shards: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, shards)
+fn full_stack_config(seed: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64, 1)
         .with_ingest()
         .with_mobility()
         .with_telemetry();
@@ -54,8 +60,12 @@ fn assert_reports_identical(straight: &FleetReport, resumed: &FleetReport) {
 
 #[test]
 fn supervised_crash_resume_is_byte_identical_at_every_shard_count() {
-    for shards in [1u32, 2, 4, 8] {
-        let cfg = full_stack_config(11, shards).with_engine_crash(10, SimDuration::from_secs(1));
+    let base = full_stack_config(11).with_engine_crash(10, SimDuration::from_secs(1));
+    for cfg in executor_grid(&base) {
+        let shape = format!(
+            "{:?} threads, chunk {:?}",
+            cfg.executor_threads, cfg.batch_size
+        );
         // run() ignores crash faults (they are still preambled into the
         // availability ledger), so it is the deterministic baseline.
         let straight = FleetEngine::new(cfg.clone()).run();
@@ -63,10 +73,10 @@ fn supervised_crash_resume_is_byte_identical_at_every_shard_count() {
         let resumed = FleetEngine::new(cfg).run_supervised(&mut store);
         assert_reports_identical(&straight, &resumed);
         // The crash really happened and really resumed …
-        assert_eq!(resumed.snapshots.resumes, 1, "at {shards} shards");
+        assert_eq!(resumed.snapshots.resumes, 1, "at {shape}");
         assert!(
             !resumed.snapshots.writes.is_empty(),
-            "no snapshot written at {shards} shards"
+            "no snapshot written at {shape}"
         );
         // … and the scripted downtime is on the availability ledger of
         // both runs (the resume window flows into MTTR either way).
@@ -86,7 +96,7 @@ fn supervised_crash_resume_is_byte_identical_at_every_shard_count() {
 
 #[test]
 fn double_crash_resumes_twice() {
-    let cfg = full_stack_config(23, 4)
+    let cfg = full_stack_config(23)
         .with_engine_crash(6, SimDuration::from_millis(500))
         .with_engine_crash(13, SimDuration::from_millis(500));
     let straight = FleetEngine::new(cfg.clone()).run();
@@ -101,7 +111,7 @@ fn torn_write_on_newest_snapshot_falls_back_one_generation() {
     // Writes land at epochs 4, 8, 12 (sim times 2 s, 4 s, 6 s). The
     // torn-write window covers the epoch-8 write, so the crash at
     // epoch 10 must fall back to generation 4.
-    let cfg = full_stack_config(5, 4)
+    let cfg = full_stack_config(5)
         .with_engine_crash(10, SimDuration::from_secs(1))
         .with_snapshot_torn_write(SimTime::from_secs(4), SimDuration::from_millis(100));
     let straight = FleetEngine::new(cfg.clone()).run();
@@ -121,7 +131,7 @@ fn torn_write_on_newest_snapshot_falls_back_one_generation() {
 
 #[test]
 fn corrupted_snapshot_is_rejected_by_checksum() {
-    let cfg = full_stack_config(7, 2)
+    let cfg = full_stack_config(7)
         .with_engine_crash(10, SimDuration::from_secs(1))
         .with_snapshot_corruption(SimTime::from_secs(4), SimDuration::from_millis(100));
     let straight = FleetEngine::new(cfg.clone()).run();
@@ -135,7 +145,7 @@ fn corrupted_snapshot_is_rejected_by_checksum() {
 fn all_snapshots_corrupt_restarts_from_scratch() {
     // Corruption covers the whole run: every write is damaged, so the
     // supervisor finds no valid generation and replays from epoch 0.
-    let cfg = full_stack_config(3, 4)
+    let cfg = full_stack_config(3)
         .with_engine_crash(10, SimDuration::from_secs(1))
         .with_snapshot_corruption(SimTime::ZERO, SimDuration::from_secs(8));
     let straight = FleetEngine::new(cfg.clone()).run();
@@ -156,7 +166,7 @@ fn crash_resume_round_trips_budget_sampling_and_histogram_state() {
     // sampling. The snapshot at epoch 68 therefore carries every piece
     // of new sink state: histograms, the auto-activated sample rate,
     // the sampled-out count, and the rolled flag.
-    let mut cfg = FleetConfig::sized(64, 2)
+    let mut cfg = FleetConfig::sized(64, 1)
         .with_ingest()
         .with_telemetry_budget(4 * 1024);
     cfg.seed = 23;
@@ -194,7 +204,7 @@ fn crash_resume_round_trips_budget_sampling_and_histogram_state() {
 fn supervised_without_checkpoint_config_replays_from_scratch() {
     // No checkpoint config: the supervisor has nothing to restore from,
     // so a crash costs a full replay — and nothing else.
-    let mut cfg = FleetConfig::sized(64, 2).with_ingest().with_telemetry();
+    let mut cfg = FleetConfig::sized(64, 1).with_ingest().with_telemetry();
     cfg.duration = SimDuration::from_secs(8);
     let cfg = cfg.with_engine_crash(10, SimDuration::from_secs(1));
     let straight = FleetEngine::new(cfg.clone()).run();
@@ -205,21 +215,17 @@ fn supervised_without_checkpoint_config_replays_from_scratch() {
     assert_eq!(straight.summary(), resumed.summary());
 }
 
-/// Takes the newest snapshot a supervised run of `from_shards` left
-/// behind, restores it into an engine with `to_shards`, and checks the
-/// finished report against the straight `to_shards` run.
-fn cross_shard_restore(from_shards: u32, to_shards: u32) {
-    let mut store = SnapshotStore::in_memory();
-    let writer = FleetEngine::new(full_stack_config(41, from_shards)).run_supervised(&mut store);
-    assert!(!writer.snapshots.writes.is_empty());
-    let (snap, rejected) = store.newest_valid();
-    let snap = snap.expect("a clean run leaves valid snapshots");
-    assert!(rejected.is_empty());
+/// `cfg` run on `threads` workers in chunks of `chunk` vehicles, under
+/// the shard label `shards`.
+fn shaped(cfg: FleetConfig, threads: u32, chunk: u32, shards: u32) -> FleetConfig {
+    let mut cfg = cfg.with_executor_threads(threads).with_batch_size(chunk);
+    cfg.shards = shards;
+    cfg
+}
 
-    let straight = FleetEngine::new(full_stack_config(41, to_shards)).run();
-    let resumed = FleetEngine::new(full_stack_config(41, to_shards))
-        .restore(&snap)
-        .expect("snapshot restores across shard counts");
+/// Checks a restored report against the straight run of the restoring
+/// config on every deterministic surface.
+fn assert_restore_matches(straight: &FleetReport, resumed: &FleetReport) {
     assert_eq!(straight.summary(), resumed.summary());
     assert_eq!(straight.metrics, resumed.metrics);
     assert_eq!(straight.reliability, resumed.reliability);
@@ -228,9 +234,9 @@ fn cross_shard_restore(from_shards: u32, to_shards: u32) {
     assert_eq!(straight.mobility, resumed.mobility);
     assert_eq!(straight.region_admission, resumed.region_admission);
     // Spans written before the snapshot carry the *writer's* shard
-    // attribute — the one field re-partitioning legitimately changes —
-    // so the cross-shard-count comparison normalizes it away, exactly
-    // like the shard-invariance telemetry tests do.
+    // label — the one field a different config legitimately changes —
+    // so the comparison normalizes it away, exactly like the
+    // executor-invariance telemetry tests do.
     let (s, r) = (
         straight.telemetry.as_ref().expect("telemetry on"),
         resumed.telemetry.as_ref().expect("telemetry on"),
@@ -249,48 +255,191 @@ fn cross_shard_restore(from_shards: u32, to_shards: u32) {
     );
 }
 
+/// Takes the newest snapshot a supervised run of `writer` left behind,
+/// restores it into an engine with `reader`, and checks the finished
+/// report against the straight `reader` run.
+fn cross_shape_restore(writer: FleetConfig, reader: FleetConfig) {
+    let mut store = SnapshotStore::in_memory();
+    let written = FleetEngine::new(writer).run_supervised(&mut store);
+    assert!(!written.snapshots.writes.is_empty());
+    let (snap, rejected) = store.newest_valid();
+    let snap = snap.expect("a clean run leaves valid snapshots");
+    assert!(rejected.is_empty());
+
+    let straight = FleetEngine::new(reader.clone()).run();
+    let resumed = FleetEngine::new(reader)
+        .restore(&snap)
+        .expect("snapshot restores under another executor shape");
+    assert_restore_matches(&straight, &resumed);
+}
+
 #[test]
 fn snapshot_written_by_8_shards_restores_into_1() {
-    cross_shard_restore(8, 1);
+    // Written by the widest, finest-grained executor; restored serially
+    // with the whole fleet in one chunk.
+    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) as u32;
+    cross_shape_restore(
+        shaped(full_stack_config(41), hw, 1, 8),
+        shaped(full_stack_config(41), 1, 64, 1),
+    );
 }
 
 #[test]
 fn snapshot_written_by_1_shard_restores_into_8() {
-    cross_shard_restore(1, 8);
+    cross_shape_restore(
+        shaped(full_stack_config(41), 1, 64, 1),
+        shaped(full_stack_config(41), 4, 7, 8),
+    );
+}
+
+#[test]
+fn crash_at_barrier_resumes_under_a_different_executor_shape() {
+    // A supervised run on four workers in 7-vehicle chunks crashes at
+    // epoch 10 and resumes from generation 8, the last snapshot it
+    // wrote before the crash. That same generation, restored into a
+    // serial engine with the whole fleet in one chunk, must finish
+    // exactly like the serial engine's straight run.
+    let crash = |cfg: FleetConfig| cfg.with_engine_crash(10, SimDuration::from_secs(1));
+    let writer = crash(shaped(full_stack_config(17), 4, 7, 4));
+    let reader = crash(shaped(full_stack_config(17), 1, 64, 1));
+    let mut store = SnapshotStore::in_memory();
+    let supervised = FleetEngine::new(writer).run_supervised(&mut store);
+    assert_eq!(supervised.snapshots.resumes, 1);
+    let text = store.get(8).expect("the pre-crash snapshot is retained");
+    let snap = Snapshot::decode(&text).expect("the pre-crash snapshot is valid");
+    let straight = FleetEngine::new(reader.clone()).run();
+    let resumed = FleetEngine::new(reader)
+        .restore(&snap)
+        .expect("snapshot restores under another executor shape");
+    assert_restore_matches(&straight, &resumed);
+    assert_eq!(supervised.summary(), resumed.summary());
 }
 
 #[test]
 fn restore_rejects_foreign_fingerprint() {
     let mut store = SnapshotStore::in_memory();
-    let _ = FleetEngine::new(full_stack_config(41, 2)).run_supervised(&mut store);
+    let _ = FleetEngine::new(full_stack_config(41)).run_supervised(&mut store);
     let (snap, _) = store.newest_valid();
     let snap = snap.expect("valid snapshot");
     // Same shape, different seed: the fingerprint must refuse it.
-    let err = FleetEngine::new(full_stack_config(42, 2))
+    let err = FleetEngine::new(full_stack_config(42))
         .restore(&snap)
         .expect_err("foreign seed must be rejected");
     assert!(err.to_string().contains("config mismatch"), "got: {err}");
+}
+
+/// A snapshot envelope of format `version` around `payload`, with the
+/// checksum that version's decoder verifies.
+fn envelope(version: u32, generation: u64, payload: Value) -> String {
+    let text = payload.to_string();
+    let checksum = fnv1a64(format!("{version}|{generation}|{text}").as_bytes());
+    obj(vec![
+        ("magic", Value::from(SNAPSHOT_MAGIC)),
+        ("version", Value::from(version)),
+        ("generation", u64_hex(generation)),
+        ("checksum", u64_hex(checksum)),
+        ("payload", payload),
+    ])
+    .to_string()
+}
+
+/// `snap`'s state laid out the way the previous snapshot format wrote
+/// it — each vehicle with a migration `generation`, the mobility pass
+/// with a `physical_migrations` counter, the event ledger as
+/// `events_base` — in a previous-version envelope under `generation`.
+fn previous_format(snap: &Snapshot, generation: u64) -> String {
+    let mut payload = snap.payload.clone();
+    let Value::Object(top) = &mut payload else {
+        panic!("a snapshot payload is an object");
+    };
+    let events = top.remove("events").expect("event ledger");
+    top.insert("events_base".to_string(), events);
+    if let Some(Value::Array(vehicles)) = top.get_mut("vehicles") {
+        for vehicle in vehicles {
+            if let Value::Object(vehicle) = vehicle {
+                vehicle.insert("generation".to_string(), Value::from(0u32));
+            }
+        }
+    }
+    if let Some(Value::Object(mobility)) = top.get_mut("mobility") {
+        mobility.insert("physical_migrations".to_string(), u64_hex(0));
+    }
+    envelope(SNAPSHOT_VERSION - 1, generation, payload)
+}
+
+#[test]
+fn previous_version_snapshot_is_refused_as_an_unknown_version() {
+    let mut store = SnapshotStore::in_memory();
+    let _ = FleetEngine::new(full_stack_config(41)).run_supervised(&mut store);
+    let (snap, _) = store.newest_valid();
+    let snap = snap.expect("valid snapshot");
+    let old = previous_format(&snap, snap.generation);
+    let err = Snapshot::decode(&old).expect_err("an older format must not decode");
+    let previous = SNAPSHOT_VERSION - 1;
+    assert!(
+        err.to_string()
+            .contains(&format!("unsupported version {previous}")),
+        "got: {err}"
+    );
+    // The version is the only thing wrong with that envelope: the same
+    // payload under the current tag decodes (and then fails restore on
+    // its old layout instead of being misread).
+    let Value::Object(fields) = vdap_ckpt::json::from_str(&old).expect("valid json") else {
+        panic!("an envelope is an object");
+    };
+    let relabelled = envelope(SNAPSHOT_VERSION, snap.generation, fields["payload"].clone());
+    let decoded = Snapshot::decode(&relabelled).expect("current-version envelope decodes");
+    assert!(FleetEngine::new(full_stack_config(41))
+        .restore(&decoded)
+        .is_err());
+}
+
+#[test]
+fn supervisor_falls_back_past_a_previous_version_snapshot() {
+    // A store left behind by the previous format holds generation 9,
+    // newer than anything this run writes before its crash at epoch 10
+    // (generations 4 and 8). The supervisor must refuse it as an
+    // unknown version and resume from generation 8.
+    let cfg = full_stack_config(29).with_engine_crash(10, SimDuration::from_secs(1));
+    let straight = FleetEngine::new(cfg.clone()).run();
+    let mut scratch = SnapshotStore::in_memory();
+    let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut scratch);
+    let text = scratch.get(8).expect("generation 8 retained");
+    let snap = Snapshot::decode(&text).expect("generation 8 valid");
+    let mut store = SnapshotStore::in_memory();
+    store
+        .put(9, &previous_format(&snap, 9))
+        .expect("in-memory put");
+    let resumed = FleetEngine::new(cfg).run_supervised(&mut store);
+    assert_eq!(resumed.snapshots.resumes, 1);
+    assert!(
+        resumed.snapshots.rejected_generations.contains(&9),
+        "rejected: {:?}",
+        resumed.snapshots.rejected_generations
+    );
+    assert_reports_identical(&straight, &resumed);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
     fn crash_resume_is_byte_identical_for_any_seed(seed in any::<u64>()) {
-        // The flagship property at 1, 2, 4 and 8 shards: kill at epoch
-        // 10, resume from the epoch-8 snapshot, finish — the summary,
-        // the ledgers and the telemetry all replay byte-for-byte.
-        for shards in [1u32, 2, 4, 8] {
-            let cfg = full_stack_config(seed, shards)
-                .with_engine_crash(10, SimDuration::from_secs(1));
-            let straight = FleetEngine::new(cfg.clone()).run();
+        // The flagship property over the executor grid: kill at epoch
+        // 10, resume from the epoch-8 snapshot, finish — the summary
+        // and the ledgers replay byte-for-byte at every width and
+        // chunk size, and match the serial straight run.
+        let base = full_stack_config(seed).with_engine_crash(10, SimDuration::from_secs(1));
+        let serial = FleetEngine::new(shaped(base.clone(), 1, 64, 1)).run();
+        for cfg in executor_grid(&base) {
+            let shape = (cfg.executor_threads, cfg.batch_size);
             let mut store = SnapshotStore::in_memory();
             let resumed = FleetEngine::new(cfg).run_supervised(&mut store);
             prop_assert_eq!(resumed.snapshots.resumes, 1);
-            prop_assert_eq!(straight.summary(), resumed.summary(), "{} shards diverged", shards);
-            prop_assert_eq!(&straight.metrics, &resumed.metrics);
-            prop_assert_eq!(&straight.reliability, &resumed.reliability);
-            prop_assert_eq!(&straight.ingest, &resumed.ingest);
-            prop_assert_eq!(&straight.mobility, &resumed.mobility);
+            prop_assert_eq!(serial.summary(), resumed.summary(), "{:?} diverged", shape);
+            prop_assert_eq!(&serial.metrics, &resumed.metrics);
+            prop_assert_eq!(&serial.reliability, &resumed.reliability);
+            prop_assert_eq!(&serial.ingest, &resumed.ingest);
+            prop_assert_eq!(&serial.mobility, &resumed.mobility);
         }
     }
 }
@@ -304,18 +453,18 @@ proptest! {
         // worker count and single-vehicle batches, so almost every
         // task is eligible for stealing on both the pre-crash and the
         // resumed leg. The baseline is the fully serial engine — one
-        // worker, whole-fleet batches, no supervisor — and every
+        // worker, one whole-fleet chunk, no supervisor — and every
         // deterministic surface must still match byte-for-byte.
         let hw = std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get) as u32;
         let serial = {
-            let cfg = full_stack_config(seed, 1)
+            let cfg = full_stack_config(seed)
                 .with_engine_crash(10, SimDuration::from_secs(1))
                 .with_executor_threads(1)
                 .with_batch_size(64);
             FleetEngine::new(cfg).run()
         };
-        let cfg = full_stack_config(seed, 4)
+        let cfg = full_stack_config(seed)
             .with_engine_crash(10, SimDuration::from_secs(1))
             .with_executor_threads(hw)
             .with_batch_size(1);
@@ -337,11 +486,11 @@ fn reference_snapshot() -> &'static (String, String) {
     static REF: OnceLock<(String, String)> = OnceLock::new();
     REF.get_or_init(|| {
         let mut store = SnapshotStore::in_memory();
-        let _ = FleetEngine::new(full_stack_config(41, 2)).run_supervised(&mut store);
+        let _ = FleetEngine::new(full_stack_config(41)).run_supervised(&mut store);
         let generation = *store.generations().last().expect("snapshots written");
         let encoded = store.get(generation).expect("newest generation present");
         let snap = Snapshot::decode(&encoded).expect("clean snapshot decodes");
-        let summary = FleetEngine::new(full_stack_config(41, 2))
+        let summary = FleetEngine::new(full_stack_config(41))
             .restore(&snap)
             .expect("clean snapshot restores")
             .summary();
@@ -379,7 +528,7 @@ proptest! {
         bytes[at] ^= mask;
         let tampered = String::from_utf8(bytes).expect("ascii stays utf-8");
         if let Ok(snap) = Snapshot::decode(&tampered) {
-            if let Ok(report) = FleetEngine::new(full_stack_config(41, 2)).restore(&snap) {
+            if let Ok(report) = FleetEngine::new(full_stack_config(41)).restore(&snap) {
                 prop_assert_eq!(&report.summary(), expected_summary);
             }
         }

@@ -4,12 +4,15 @@
 //!    exactly the way `FleetMetrics`' outcome counters do: one closed
 //!    span per request, per-outcome span counts equal to the served /
 //!    collab / failover / rejected / fallback counters.
-//! 2. **Shard-count invariance** — with telemetry enabled, the
-//!    deterministic summary is still byte-identical across shard
-//!    counts, and the normalized span log and metrics registry are
-//!    identical too (the `shard` span attribute is the only field
-//!    re-partitioning may change).
+//! 2. **Executor invariance** — with telemetry enabled, the
+//!    deterministic summary is still byte-identical at every executor
+//!    width and chunk size, and the normalized span log and metrics
+//!    registry are identical too (the `shard` span attribute, a config
+//!    label, is the only field that may differ).
 
+mod common;
+
+use common::executor_grid;
 use proptest::prelude::*;
 use vdap_fleet::{FleetConfig, FleetEngine, FleetReport, SpanOutcome};
 use vdap_sim::{SimDuration, SimTime};
@@ -18,8 +21,8 @@ use vdap_sim::{SimDuration, SimTime};
 /// six span outcomes: a regional outage (failovers), a node crash on a
 /// two-node deployment (retries, handoffs, fallbacks, skipped pBEAM
 /// rounds), and tight quotas under load (rejections).
-fn chaos_config(seed: u64, shards: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, shards).with_telemetry();
+fn chaos_config(seed: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64, 1).with_telemetry();
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(8);
     cfg.edge_nodes = 2;
@@ -79,9 +82,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
     fn spans_reconcile_with_metrics_at_every_shard_count(seed in any::<u64>()) {
-        let reports: Vec<FleetReport> = [1u32, 2, 4, 8]
-            .iter()
-            .map(|&shards| FleetEngine::new(chaos_config(seed, shards)).run())
+        let reports: Vec<FleetReport> = executor_grid(&chaos_config(seed))
+            .into_iter()
+            .map(|point| FleetEngine::new(point).run())
             .collect();
         for report in &reports {
             assert_reconciles(report);
@@ -104,9 +107,10 @@ proptest! {
 /// The full interaction surface with the bounded-memory sinks on:
 /// ingest + mobility + a telemetry budget + explicit deterministic
 /// sampling. The sampled span set, histogram series, and deterministic
-/// summary must stay byte-identical across shard counts.
-fn sampled_config(seed: u64, shards: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, shards)
+/// summary must stay byte-identical at every executor width and chunk
+/// size.
+fn sampled_config(seed: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64, 1)
         .with_ingest()
         .with_mobility()
         .with_telemetry_budget(16 * 1024)
@@ -120,9 +124,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
     fn sampled_telemetry_with_budget_is_shard_invariant(seed in any::<u64>()) {
-        let reports: Vec<FleetReport> = [1u32, 2, 4, 8]
-            .iter()
-            .map(|&shards| FleetEngine::new(sampled_config(seed, shards)).run())
+        let reports: Vec<FleetReport> = executor_grid(&sampled_config(seed))
+            .into_iter()
+            .map(|point| FleetEngine::new(point).run())
             .collect();
         let base = reports[0].telemetry.as_ref().expect("telemetry enabled");
         let base_spans: Vec<_> = base.spans.iter().map(|s| s.normalized()).collect();
@@ -133,7 +137,7 @@ proptest! {
             let spans: Vec<_> = tel.spans.iter().map(|s| s.normalized()).collect();
             prop_assert_eq!(&base_spans, &spans, "sampled span sets diverged");
             // Registry equality covers series, histograms, counters and
-            // the telemetry_bytes gauge — all shard-invariant because
+            // the telemetry_bytes gauge — all executor-invariant because
             // the byte estimate is count-based.
             prop_assert_eq!(&base.registry, &tel.registry, "registries diverged");
             prop_assert_eq!(base.sampled_out, tel.sampled_out, "sampler drop counts diverged");
@@ -160,14 +164,14 @@ fn crossed_budget_auto_activates_deterministic_sampling() {
     // No spill, no explicit sampling, and a budget far below what 64
     // vehicles over 8 s produce: the engine's last resort is switching
     // OK-span sampling on retroactively.
-    let run = |shards: u32| {
-        let mut cfg = FleetConfig::sized(64, shards).with_telemetry_budget(4 * 1024);
+    let run = |threads: u32, chunk: u32| {
+        let mut cfg = FleetConfig::sized(64, 1).with_telemetry_budget(4 * 1024);
         cfg.seed = 7;
         cfg.duration = SimDuration::from_secs(8);
-        FleetEngine::new(cfg).run()
+        FleetEngine::new(cfg.with_executor_threads(threads).with_batch_size(chunk)).run()
     };
-    let one = run(1);
-    let eight = run(8);
+    let one = run(1, 64);
+    let eight = run(4, 7);
     let tel = one.telemetry.as_ref().expect("telemetry enabled");
     assert_eq!(
         tel.sample,
@@ -179,8 +183,8 @@ fn crossed_budget_auto_activates_deterministic_sampling() {
         tel.sampled_out > 0,
         "retroactive sampling must drop OK spans"
     );
-    // Auto-activation happens at a barrier from a shard-invariant byte
-    // estimate, so the surviving set is still shard-invariant.
+    // Auto-activation happens at a barrier from a count-based byte
+    // estimate, so the surviving set is still executor-invariant.
     assert_eq!(one.summary(), eight.summary());
     let tel8 = eight.telemetry.as_ref().expect("telemetry enabled");
     let one_spans: Vec<_> = tel.spans.iter().map(|s| s.normalized()).collect();
