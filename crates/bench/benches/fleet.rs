@@ -10,7 +10,7 @@ use vdap_sim::SimDuration;
 /// A fleet big enough that per-epoch barrier cost is amortised but small
 /// enough for Criterion's sampling loop, on `threads` executor workers.
 fn bench_config(threads: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(512, 1).with_executor_threads(threads);
+    let mut cfg = FleetConfig::sized(512).with_executor_threads(threads);
     cfg.duration = SimDuration::from_secs(10);
     cfg
 }

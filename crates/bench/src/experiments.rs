@@ -8,8 +8,8 @@
 use vdap_ddi::{DdiService, DriverStyle, ObdCollector, Query, RecordKind};
 use vdap_edgeos::Objective;
 use vdap_fleet::{
-    FleetConfig, FleetEngine, IngestConfig, JsonlSpillSink, MobilityConfig, ObsHistogram,
-    SnapshotStore, SpanOutcome, CKPT_STORE_LABEL, ENGINE_LABEL,
+    FleetConfig, FleetEngine, FleetReport, IngestConfig, JsonlSpillSink, MobilityConfig,
+    ObsHistogram, SnapshotStore, SpanOutcome, CKPT_STORE_LABEL, ENGINE_LABEL,
 };
 use vdap_hw::{catalog, Battery, ComputeWorkload, TaskClass};
 use vdap_models::zoo;
@@ -700,14 +700,15 @@ pub fn infotainment(seed: u64) -> TextTable {
     t
 }
 
-/// E14 — fleet-scale sharded simulation: 1,000 vehicles for 60 simulated
-/// seconds against the shared multi-tenant XEdge deployment, run once on
-/// a single shard and once on 8 shards. The table reports the aggregate
-/// fleet metrics per shard count; the final row asserts the engine's
-/// determinism contract (byte-identical summaries).
+/// E14 — fleet-scale simulation: 1,000 vehicles for 60 simulated
+/// seconds against the shared multi-tenant XEdge deployment, run once
+/// serially (one worker, the whole fleet in one chunk) and once on the
+/// default executor. The table reports the aggregate fleet metrics of
+/// both runs; the final row asserts the engine's determinism contract
+/// (byte-identical summaries).
 #[must_use]
 pub fn fleet(seed: u64) -> TextTable {
-    let mut cfg = FleetConfig::sized(1000, 1);
+    let mut cfg = FleetConfig::sized(1000);
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(60);
     // A 12-second LTE outage in region 0 exercises the failover path.
@@ -715,18 +716,36 @@ pub fn fleet(seed: u64) -> TextTable {
     fleet_table(cfg)
 }
 
-/// Runs `cfg` at 1 and 8 shards and renders the comparison table.
+/// `cfg` on the serial engine: one worker, the whole fleet in one chunk.
+fn serial(cfg: &FleetConfig) -> FleetConfig {
+    cfg.clone()
+        .with_executor_threads(1)
+        .with_batch_size(cfg.vehicles)
+}
+
+/// Runs `cfg` serially and on the default executor, and asserts the
+/// fleet determinism contract: the two summaries are byte-identical.
+/// Returns `(serial, executor)`.
+fn serial_and_executor(what: &str, cfg: &FleetConfig) -> (FleetReport, FleetReport) {
+    let serial = FleetEngine::new(serial(cfg)).run();
+    let executor = FleetEngine::new(cfg.clone()).run();
+    assert!(
+        serial.summary() == executor.summary(),
+        "{what} determinism violated: serial and executor summaries \
+         diverged\n--- serial ---\n{}\n--- executor ---\n{}",
+        serial.summary(),
+        executor.summary()
+    );
+    (serial, executor)
+}
+
+/// Runs `cfg` serially and on the default executor and renders the
+/// comparison table.
 fn fleet_table(cfg: FleetConfig) -> TextTable {
-    let run = |shards: u32| {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        FleetEngine::new(c).run()
-    };
-    let single = run(1);
-    let sharded = run(8);
+    let (serial, executor) = serial_and_executor("fleet", &cfg);
     let mut t = TextTable::new(
-        "E14 — fleet-scale sharded simulation (1 shard vs 8 shards, same seed)",
-        &["metric", "1 shard", "8 shards"],
+        "E14 — fleet-scale simulation (serial vs executor, same seed)",
+        &["metric", "serial", "executor"],
     );
     type ReportCol = fn(&vdap_fleet::FleetReport) -> String;
     let rows: [(&str, ReportCol); 8] = [
@@ -744,16 +763,8 @@ fn fleet_table(cfg: FleetConfig) -> TextTable {
         ("events processed", |r| r.events_processed.to_string()),
     ];
     for (label, get) in rows {
-        t.row(&[label.into(), get(&single), get(&sharded)]);
+        t.row(&[label.into(), get(&serial), get(&executor)]);
     }
-    let identical = single.summary() == sharded.summary();
-    assert!(
-        identical,
-        "fleet determinism contract violated: 1-shard and 8-shard \
-         summaries diverged\n--- 1 shard ---\n{}\n--- 8 shards ---\n{}",
-        single.summary(),
-        sharded.summary()
-    );
     t.row(&[
         "summaries byte-identical".into(),
         "yes".into(),
@@ -766,27 +777,22 @@ fn fleet_table(cfg: FleetConfig) -> TextTable {
 /// storm ([`openvdap::chaos::fleet_chaos_config`]) — XEdge node 1
 /// crashes for 8 s, tenant 0's admission quota flaps to 30 % for 10 s,
 /// and region 2 rides a 6 s handoff storm. The table reports the
-/// degradation-ladder outcomes and per-component availability per shard
-/// count; the final row asserts the determinism contract holds under
-/// chaos too.
+/// degradation-ladder outcomes and per-component availability of a
+/// serial and a default-executor run; the final row asserts the
+/// determinism contract holds under chaos too.
 #[must_use]
 pub fn fleet_chaos(seed: u64) -> TextTable {
     fleet_chaos_table(
-        "E15 — fleet-scale chaos: node crash + quota flap + handoff storm (1 vs 8 shards)",
+        "E15 — fleet-scale chaos: node crash + quota flap + handoff storm (serial vs executor)",
         openvdap::chaos::fleet_chaos_config(seed),
     )
 }
 
-/// Runs the chaos `cfg` at 1 and 8 shards and renders the comparison.
+/// Runs the chaos `cfg` serially and on the default executor and
+/// renders the comparison.
 fn fleet_chaos_table(title: &str, cfg: FleetConfig) -> TextTable {
-    let run = |shards: u32| {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        FleetEngine::new(c).run()
-    };
-    let single = run(1);
-    let sharded = run(8);
-    let mut t = TextTable::new(title, &["metric", "1 shard", "8 shards"]);
+    let (serial, executor) = serial_and_executor("fleet chaos", &cfg);
+    let mut t = TextTable::new(title, &["metric", "serial", "executor"]);
     type ReportCol = fn(&vdap_fleet::FleetReport) -> String;
     let rows: [(&str, ReportCol); 12] = [
         ("requests", |r| r.metrics.requests.to_string()),
@@ -817,23 +823,15 @@ fn fleet_chaos_table(title: &str, cfg: FleetConfig) -> TextTable {
         }),
     ];
     for (label, get) in rows {
-        t.row(&[label.into(), get(&single), get(&sharded)]);
+        t.row(&[label.into(), get(&serial), get(&executor)]);
     }
-    for (i, (component, avail)) in single.region_availability.iter().enumerate() {
+    for (i, (component, avail)) in serial.region_availability.iter().enumerate() {
         t.row(&[
             format!("availability[{component}]"),
             format!("{avail:.6}"),
-            format!("{:.6}", sharded.region_availability[i].1),
+            format!("{:.6}", executor.region_availability[i].1),
         ]);
     }
-    let identical = single.summary() == sharded.summary();
-    assert!(
-        identical,
-        "fleet chaos determinism violated: 1-shard and 8-shard \
-         summaries diverged\n--- 1 shard ---\n{}\n--- 8 shards ---\n{}",
-        single.summary(),
-        sharded.summary()
-    );
     t.row(&[
         "summaries byte-identical".into(),
         "yes".into(),
@@ -848,7 +846,8 @@ fn fleet_chaos_table(title: &str, cfg: FleetConfig) -> TextTable {
 /// only at epoch barriers from the previous barrier's queue depth, so
 /// the pool grows with backlog and drains back toward the floor — and
 /// because the decisions live on the barrier clock, every load level is
-/// also run at 4 shards and asserted byte-identical to 1 shard.
+/// run serially and on the default executor and asserted
+/// byte-identical.
 #[must_use]
 pub fn fleet_elastic(seed: u64) -> TextTable {
     fleet_elastic_table(seed, 256, SimDuration::from_secs(30))
@@ -857,7 +856,7 @@ pub fn fleet_elastic(seed: u64) -> TextTable {
 /// Runs the elastic load sweep over `vehicles` for `duration` per level.
 fn fleet_elastic_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTable {
     let mut t = TextTable::new(
-        "E16 — elastic XEdge lanes track queue depth (mixed classes, 1 vs 4 shards)",
+        "E16 — elastic XEdge lanes track queue depth (mixed classes, serial vs executor)",
         &[
             "req period (ms)",
             "requests",
@@ -872,25 +871,12 @@ fn fleet_elastic_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextT
     );
     let mut lane_means = Vec::new();
     for period_ms in [4000u64, 2000, 1000, 500] {
-        let mut cfg = FleetConfig::sized(vehicles, 1).with_elastic_capacity();
+        let mut cfg = FleetConfig::sized(vehicles).with_elastic_capacity();
         cfg.seed = seed;
         cfg.duration = duration;
         cfg.request_period = SimDuration::from_millis(period_ms);
-        let run = |shards: u32| {
-            let mut c = cfg.clone();
-            c.shards = shards;
-            FleetEngine::new(c).run()
-        };
-        let single = run(1);
-        let sharded = run(4);
-        assert!(
-            single.summary() == sharded.summary(),
-            "elastic determinism violated at period {period_ms} ms\n\
-             --- 1 shard ---\n{}\n--- 4 shards ---\n{}",
-            single.summary(),
-            sharded.summary()
-        );
-        let m = &single.metrics;
+        let (serial, _) = serial_and_executor(&format!("elastic ({period_ms} ms)"), &cfg);
+        let m = &serial.metrics;
         lane_means.push(m.elastic_lanes.mean());
         t.row(&[
             period_ms.to_string(),
@@ -933,43 +919,33 @@ fn fleet_elastic_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextT
 #[must_use]
 pub fn fleet_storm(seed: u64) -> TextTable {
     fleet_chaos_table(
-        "E17 — randomized fleet storm: seeded Poisson faults over the edge tier (1 vs 8 shards)",
+        "E17 — randomized fleet storm: seeded Poisson faults over the edge tier (serial vs executor)",
         openvdap::chaos::fleet_storm_config(seed),
     )
 }
 
 /// E18 — fleet telemetry and barrier profiling: the E14 fleet (1,000
 /// vehicles, 60 s, a 12 s LTE outage in region 0) with telemetry
-/// enabled, run at 1 and 8 shards. Asserts telemetry costs no
-/// determinism (byte-identical summaries), writes a Perfetto-loadable
-/// Chrome trace (`target/fleet-trace/trace.json`) plus a JSONL span
-/// dump, and reports the per-shard wall-clock busy / barrier-idle
-/// breakdown the profiler measured.
+/// enabled, run serially and on the default executor. Asserts telemetry
+/// costs no determinism (byte-identical summaries), writes a
+/// Perfetto-loadable Chrome trace (`target/fleet-trace/trace.json`) of
+/// the executor run plus a JSONL span dump, and reports the per-worker
+/// wall-clock busy / barrier-idle breakdown the profiler measured.
 #[must_use]
 pub fn fleet_trace(seed: u64) -> TextTable {
-    let mut cfg = FleetConfig::sized(1000, 1).with_telemetry();
+    let mut cfg = FleetConfig::sized(1000).with_telemetry();
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(60);
     let cfg = cfg.with_regional_outage(0, SimTime::from_secs(20), SimDuration::from_secs(12));
     fleet_trace_table(cfg, std::path::Path::new("target/fleet-trace"))
 }
 
-/// Runs `cfg` at 1 and 8 shards with telemetry, writes the trace
-/// artifacts into `dir`, and renders the telemetry/profile table.
+/// Runs `cfg` serially and on the default executor with telemetry,
+/// writes the trace artifacts into `dir`, and renders the
+/// telemetry/profile table.
 fn fleet_trace_table(cfg: FleetConfig, dir: &std::path::Path) -> TextTable {
-    let run = |shards: u32| {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        FleetEngine::new(c).run()
-    };
-    let single = run(1);
-    let sharded = run(8);
-    assert_eq!(
-        single.summary(),
-        sharded.summary(),
-        "telemetry is derived data: enabling it must not perturb the run"
-    );
-    let tel = sharded.telemetry.as_ref().expect("telemetry enabled");
+    let (_, executor) = serial_and_executor("telemetry", &cfg);
+    let tel = executor.telemetry.as_ref().expect("telemetry enabled");
     let trace = vdap_obs::chrome_trace(&tel.spans, &tel.registry);
     std::fs::create_dir_all(dir).expect("create trace output dir");
     let trace_path = dir.join("trace.json");
@@ -979,7 +955,7 @@ fn fleet_trace_table(cfg: FleetConfig, dir: &std::path::Path) -> TextTable {
     std::fs::write(&spans_path, vdap_obs::spans_jsonl(&tel.spans)).expect("write spans.jsonl");
 
     let mut t = TextTable::new(
-        "E18 — fleet telemetry: spans, epoch series, trace export, barrier profile (8 shards)",
+        "E18 — fleet telemetry: spans, epoch series, trace export, barrier profile (executor)",
         &["metric", "value"],
     );
     t.row(&["requests spanned".into(), tel.spans.len().to_string()]);
@@ -1006,7 +982,7 @@ fn fleet_trace_table(cfg: FleetConfig, dir: &std::path::Path) -> TextTable {
     t.row(&["spans.jsonl".into(), spans_path.display().to_string()]);
     // The wall-clock barrier profile is nondeterministic by nature —
     // these rows are diagnostics, never part of the summary contract.
-    let p = &sharded.profile;
+    let p = &executor.profile;
     t.row(&[
         "barrier serial ms (wall-clock)".into(),
         f3(p.barrier.as_secs_f64() * 1e3),
@@ -1036,7 +1012,8 @@ fn fleet_trace_table(cfg: FleetConfig, dir: &std::path::Path) -> TextTable {
 /// mid-run. The table reports the full ingestion ledger — deadline-miss
 /// rate, the degradation ladder (retry → defer-to-cache → shed), cache
 /// churn, and storage pressure (write utilisation ρ) — and asserts the
-/// 1-shard and 8-shard runs stay byte-identical through all of it.
+/// serial and default-executor runs stay byte-identical through all of
+/// it.
 #[must_use]
 pub fn fleet_ingest(seed: u64) -> TextTable {
     fleet_ingest_table(seed, 10_000, SimDuration::from_secs(24))
@@ -1050,7 +1027,7 @@ fn fleet_ingest_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTa
     // storage throughput is 1.25x the offered record rate, and each
     // regional collector queue holds three epochs of its arrivals.
     let mut ing = IngestConfig::default();
-    let mut cfg = FleetConfig::sized(vehicles, 1);
+    let mut cfg = FleetConfig::sized(vehicles);
     let offered =
         f64::from(vehicles) * f64::from(ing.records_per_batch) / ing.upload_period.as_secs_f64();
     ing.storage_records_per_sec = offered * 1.25;
@@ -1063,21 +1040,8 @@ fn fleet_ingest_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTa
         .with_ingest_config(ing)
         .with_collector_outage(0, SimTime::from_secs(4), SimDuration::from_secs(3))
         .with_storage_brownout(0.4, SimTime::from_secs(8), SimDuration::from_secs(4));
-    let run = |shards: u32| {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        FleetEngine::new(c).run()
-    };
-    let single = run(1);
-    let sharded = run(8);
-    assert!(
-        single.summary() == sharded.summary(),
-        "ingestion determinism violated: 1-shard and 8-shard \
-         summaries diverged\n--- 1 shard ---\n{}\n--- 8 shards ---\n{}",
-        single.summary(),
-        sharded.summary()
-    );
-    let m = single.ingest.as_ref().expect("ingest enabled");
+    let (serial, executor) = serial_and_executor("ingestion", &cfg);
+    let m = serial.ingest.as_ref().expect("ingest enabled");
     // Non-vacuity: both fault windows must actually bite, and the
     // ingestion ledger must partition every record sent.
     assert!(m.outage_bounces > 0, "collector outage never bounced");
@@ -1092,8 +1056,8 @@ fn fleet_ingest_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTa
         "ingestion ledger does not partition"
     );
     let mut t = TextTable::new(
-        "E19 — fleet DDI ingestion under pressure: collector outage + storage brownout (1 vs 8 shards)",
-        &["metric", "1 shard", "8 shards"],
+        "E19 — fleet DDI ingestion under pressure: collector outage + storage brownout (serial vs executor)",
+        &["metric", "serial", "executor"],
     );
     type ReportCol = fn(&vdap_fleet::FleetReport) -> String;
     let ing_of = |r: &vdap_fleet::FleetReport| r.ingest.as_ref().expect("ingest enabled").clone();
@@ -1148,9 +1112,13 @@ fn fleet_ingest_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTa
         }),
     ];
     for (label, get) in rows {
-        t.row(&[label.into(), get(&single), get(&sharded)]);
+        t.row(&[label.into(), get(&serial), get(&executor)]);
     }
-    assert_eq!(ing_of(&single), ing_of(&sharded), "ingest metrics diverged");
+    assert_eq!(
+        ing_of(&serial),
+        ing_of(&executor),
+        "ingest metrics diverged"
+    );
     t.row(&[
         "summaries byte-identical".into(),
         "yes".into(),
@@ -1167,8 +1135,8 @@ fn fleet_ingest_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTa
 /// destination-region admission gates absorb the registration wave and
 /// reject the overflow, and in-flight ingest batches re-address to the
 /// destination collectors mid-retry. The table reports the full
-/// mobility ledger and asserts the 1-shard and 8-shard runs stay
-/// byte-identical through every crossing and migration.
+/// mobility ledger and asserts the serial and default-executor runs
+/// stay byte-identical through every crossing and migration.
 #[must_use]
 pub fn fleet_mobility(seed: u64) -> TextTable {
     fleet_mobility_table(seed, 10_000, SimDuration::from_secs(24))
@@ -1177,40 +1145,26 @@ pub fn fleet_mobility(seed: u64) -> TextTable {
 /// Runs the rush-hour mobility scenario over `vehicles` for `duration`
 /// (needs enough epochs that the rush window spans several barriers).
 fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTable {
-    let mut cfg = FleetConfig::sized(vehicles, 1).with_telemetry();
+    let mut cfg = FleetConfig::sized(vehicles).with_telemetry();
     cfg.seed = seed;
     cfg.duration = duration;
     let cfg = cfg
         .with_ingest()
         .with_mobility_config(MobilityConfig::rush_hour());
-    let run = |shards: u32| {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        FleetEngine::new(c).run()
-    };
-    let single = run(1);
-    let sharded = run(8);
-    assert!(
-        single.summary() == sharded.summary(),
-        "mobility determinism violated: 1-shard and 8-shard \
-         summaries diverged\n--- 1 shard ---\n{}\n--- 8 shards ---\n{}",
-        single.summary(),
-        sharded.summary()
-    );
+    let (serial, executor) = serial_and_executor("mobility", &cfg);
     assert_eq!(
-        single.reliability.faults_injected(),
+        serial.reliability.faults_injected(),
         0,
         "E20 is chaos-free: the handoff storm must be organic"
     );
-    let mob = single.mobility.as_ref().expect("mobility enabled");
+    let mob = serial.mobility.as_ref().expect("mobility enabled");
     assert!(mob.crossings > 0, "nobody ever crossed a region boundary");
     assert!(mob.migrations > 0, "no crossing changed home-node domain");
     assert!(
         mob.partitions(),
-        "crossings ({}) != migrations ({}) + same-domain ({})",
-        mob.crossings,
+        "migrations ({}) exceed crossings ({})",
         mob.migrations,
-        mob.same_shard_crossings
+        mob.crossings
     );
     assert_eq!(mob.storm_crossings, 0, "no injected handoff storm");
     // The organic storm: per-epoch crossings must spike well above the
@@ -1226,7 +1180,7 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
         let mean = series.iter().map(|p| p.value).sum::<f64>() / series.len() as f64;
         (peak, mean)
     };
-    let (peak, mean) = epoch_stats(&single);
+    let (peak, mean) = epoch_stats(&serial);
     assert!(
         peak > 2.0 * mean,
         "rush hour never spiked: peak {peak} vs mean {mean}"
@@ -1234,7 +1188,7 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
     // Destination pressure: the rush destinations (the downtown region
     // block) must end the run holding more registrations than they
     // started with — the whole wave re-registered its tenancy there.
-    let adm = single
+    let adm = serial
         .region_admission
         .as_ref()
         .expect("per-region admission gates active");
@@ -1261,8 +1215,8 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
     };
 
     let mut t = TextTable::new(
-        "E20 — geo-mobility rush hour: organic handoff storm, zero injected faults (1 vs 8 shards)",
-        &["metric", "1 shard", "8 shards"],
+        "E20 — geo-mobility rush hour: organic handoff storm, zero injected faults (serial vs executor)",
+        &["metric", "serial", "executor"],
     );
     type ReportCol = fn(&vdap_fleet::FleetReport) -> String;
     fn mob_of(r: &vdap_fleet::FleetReport) -> &vdap_fleet::MobilityMetrics {
@@ -1276,11 +1230,8 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
             r.mobility.as_ref().unwrap().migrations.to_string()
         }),
         ("same-domain crossings", |r| {
-            r.mobility
-                .as_ref()
-                .unwrap()
-                .same_shard_crossings
-                .to_string()
+            let mob = r.mobility.as_ref().unwrap();
+            (mob.crossings - mob.migrations).to_string()
         }),
         ("stale V2V lookups suppressed", |r| {
             r.mobility.as_ref().unwrap().stale_cache_hits.to_string()
@@ -1299,9 +1250,9 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
         }),
     ];
     for (label, get) in rows {
-        t.row(&[label.into(), get(&single), get(&sharded)]);
+        t.row(&[label.into(), get(&serial), get(&executor)]);
     }
-    let (speak, smean) = epoch_stats(&sharded);
+    let (speak, smean) = epoch_stats(&executor);
     t.row(&[
         "peak-epoch crossings (organic storm)".into(),
         f3(peak),
@@ -1315,14 +1266,14 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
             downtown..cfg.regions as usize,
         ),
     ] {
-        let (o1, r1) = gate_sums(&single, range.clone());
-        let (o8, r8) = gate_sums(&sharded, range);
+        let (o1, r1) = gate_sums(&serial, range.clone());
+        let (o8, r8) = gate_sums(&executor, range);
         t.row(&[label.into(), format!("{o1}/{r1}"), format!("{o8}/{r8}")]);
     }
     t.row(&[
         "downtown registered at horizon".into(),
         downtown_registered.to_string(),
-        sharded.region_admission.as_ref().unwrap()[..downtown]
+        executor.region_admission.as_ref().unwrap()[..downtown]
             .iter()
             .map(|a| u64::from(a.registered))
             .sum::<u64>()
@@ -1330,12 +1281,12 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
     ]);
     t.row(&[
         "faults injected".into(),
-        single.reliability.faults_injected().to_string(),
-        sharded.reliability.faults_injected().to_string(),
+        serial.reliability.faults_injected().to_string(),
+        executor.reliability.faults_injected().to_string(),
     ]);
     assert_eq!(
-        mob_of(&single),
-        mob_of(&sharded),
+        mob_of(&serial),
+        mob_of(&executor),
         "mobility ledger diverged"
     );
     t.row(&[
@@ -1347,7 +1298,7 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
 }
 
 /// E21 — durable barrier checkpoint/restore under snapshot-store
-/// chaos: a 256-vehicle, 4-shard full-stack run (ingest + mobility +
+/// chaos: a 256-vehicle full-stack run (ingest + mobility +
 /// telemetry) checkpoints every 8 epochs with keep-last-3 retention. A
 /// torn write lands on the epoch-16 snapshot and the engine crashes at
 /// epoch 20, so the supervisor must reject generation 16 by checksum,
@@ -1356,7 +1307,7 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
 /// visible in MTTR and engine availability.
 #[must_use]
 pub fn fleet_resume(seed: u64) -> TextTable {
-    let mut cfg = FleetConfig::sized(256, 4).with_telemetry();
+    let mut cfg = FleetConfig::sized(256).with_telemetry();
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(30);
     let cfg = cfg
@@ -1461,24 +1412,25 @@ pub fn fleet_resume(seed: u64) -> TextTable {
 }
 
 /// The pre-refactor barrier-idle fraction at the E14 configuration, as
-/// measured by E18 when one scoped thread advanced one whole shard and
-/// the join idled every other worker (~40 % of shard wall-clock).
+/// measured by E18 when one scoped thread advanced one fixed slice of
+/// the fleet and the join idled every other worker (~40 % of wall-clock).
 const PRE_STEAL_IDLE_FRACTION: f64 = 0.40;
 
-/// E22 — work-stealing epoch executor: the E14 fleet (1,000 vehicles,
-/// 60 s, a 12 s regional LTE outage) with each epoch's tick phase
-/// handing stealable chunks of the vehicle arena to the persistent
-/// executor. The table reports the executor shape (threads, chunk
-/// size), how many chunks idle workers stole, the mean barrier-idle
-/// fraction against the pinned pre-refactor baseline from E18 (~40 %)
-/// and wall-clock throughput, and asserts the run is byte-identical to
-/// a serial one (one worker, the whole fleet in one chunk) — the steal
-/// schedule must never reach a report. An idle fraction measured on a
-/// single worker says nothing about stealing, and the table says so
-/// when that is what it measured.
+/// E22 — epoch executor: the E14 fleet (1,000 vehicles, 60 s, a 12 s
+/// regional LTE outage) with each epoch's tick phase handing chunks of
+/// the vehicle arena to the scoped fork/join executor, whose workers
+/// take them from one shared queue. The table reports the executor
+/// shape (threads, chunk size), how many chunks workers ran beyond
+/// their even share, the mean barrier-idle fraction against the pinned
+/// pre-refactor baseline from E18 (~40 %) and wall-clock throughput,
+/// and asserts the run is byte-identical to a serial one (one worker,
+/// the whole fleet in one chunk) — the worker schedule must never reach
+/// a report. An idle fraction measured on a single worker says nothing
+/// about load balance, and the table says so when that is what it
+/// measured.
 #[must_use]
 pub fn fleet_steal(seed: u64) -> TextTable {
-    let mut cfg = FleetConfig::sized(1000, 8);
+    let mut cfg = FleetConfig::sized(1000);
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(60);
     let cfg = cfg.with_regional_outage(0, SimTime::from_secs(20), SimDuration::from_secs(12));
@@ -1488,18 +1440,13 @@ pub fn fleet_steal(seed: u64) -> TextTable {
 /// Runs `cfg` serially and on the default executor, and renders the
 /// executor profile of the latter.
 fn fleet_steal_table(cfg: FleetConfig) -> TextTable {
-    let serial = FleetEngine::new(
-        cfg.clone()
-            .with_executor_threads(1)
-            .with_batch_size(cfg.vehicles),
-    )
-    .run();
+    let serial = FleetEngine::new(serial(&cfg)).run();
     let started = std::time::Instant::now();
     let report = FleetEngine::new(cfg.clone()).run();
     let wall = started.elapsed();
     assert!(
         serial.summary() == report.summary(),
-        "fleet determinism contract violated under the work-stealing \
+        "fleet determinism contract violated under the fork/join \
          executor\n--- serial ---\n{}\n--- executor ---\n{}",
         serial.summary(),
         report.summary()
@@ -1507,7 +1454,7 @@ fn fleet_steal_table(cfg: FleetConfig) -> TextTable {
     let p = &report.profile;
     let threads = p.worker_busy.len();
     let mut t = TextTable::new(
-        "E22 — work-stealing epoch executor: stealable arena chunks vs the scoped-join baseline",
+        "E22 — epoch executor: arena chunks on a scoped fork/join vs the pre-refactor baseline",
         &["metric", "value"],
     );
     t.row(&["executor threads".into(), threads.to_string()]);
@@ -1520,7 +1467,7 @@ fn fleet_steal_table(cfg: FleetConfig) -> TextTable {
     t.row(&["mean idle fraction".into(), f3(p.mean_idle_fraction())]);
     if threads < 2 {
         t.row(&[
-            "(one worker: the idle fraction is no evidence about stealing)".into(),
+            "(one worker: the idle fraction is no evidence about load balance)".into(),
             "-".into(),
         ]);
     }
@@ -1548,7 +1495,8 @@ fn fleet_steal_table(cfg: FleetConfig) -> TextTable {
 /// pins the observability contract: peak post-enforcement resident
 /// bytes stay under the budget, every spilled segment line re-parses,
 /// the sampled span stream and the deterministic summary are
-/// byte-identical at 1 and 8 shards, and the streaming-histogram
+/// byte-identical serially and on the default executor, and the
+/// streaming-histogram
 /// quantiles stay within the documented ≈1.6% relative error of the
 /// exact sorted quantiles.
 #[must_use]
@@ -1594,9 +1542,10 @@ fn spilled_span_keys(sink: &JsonlSpillSink) -> Vec<(u64, u64, u64, String)> {
     keys
 }
 
-/// Runs `cfg`-sized fleets unbounded (8 shards) and bounded (8 and 1
-/// shards, `budget` bytes + spill under `dir` + 1-in-8 OK sampling),
-/// asserts the bounded-telemetry contract, and renders the comparison.
+/// Runs `cfg`-sized fleets unbounded (default executor) and bounded
+/// (default executor and serial, `budget` bytes + spill under `dir` +
+/// 1-in-8 OK sampling), asserts the bounded-telemetry contract, and
+/// renders the comparison.
 fn fleet_obs_table(
     seed: u64,
     vehicles: u32,
@@ -1605,7 +1554,7 @@ fn fleet_obs_table(
     dir: &std::path::Path,
 ) -> TextTable {
     let base = {
-        let mut c = FleetConfig::sized(vehicles, 8);
+        let mut c = FleetConfig::sized(vehicles);
         c.seed = seed;
         c.duration = duration;
         c
@@ -1616,20 +1565,18 @@ fn fleet_obs_table(
     let unbounded = FleetEngine::new(base.clone().with_telemetry()).run();
     let base_tel = unbounded.telemetry.as_ref().expect("telemetry enabled");
 
-    // (b)/(c) Bounded at 8 and 1 shards, each spilling into its own
-    // segment directory (wiped first so stale segments cannot leak in).
-    let bounded_run = |shards: u32, segments: &std::path::Path| {
+    // (b)/(c) Bounded on the default executor and serially, each
+    // spilling into its own segment directory (wiped first so stale
+    // segments cannot leak in).
+    let bounded_cfg = |segments: &std::path::Path| {
         let _ = std::fs::remove_dir_all(segments);
-        let mut c = base
-            .clone()
+        base.clone()
             .with_telemetry_budget(budget)
             .with_span_spill(segments)
-            .with_span_sampling(8);
-        c.shards = shards;
-        FleetEngine::new(c).run()
+            .with_span_sampling(8)
     };
-    let bounded = bounded_run(8, &dir.join("segments-8shard"));
-    let single = bounded_run(1, &dir.join("segments-1shard"));
+    let bounded = FleetEngine::new(bounded_cfg(&dir.join("segments-executor"))).run();
+    let serial_bounded = FleetEngine::new(serial(&bounded_cfg(&dir.join("segments-serial")))).run();
 
     assert_eq!(
         unbounded.summary(),
@@ -1638,14 +1585,17 @@ fn fleet_obs_table(
     );
     assert_eq!(
         bounded.summary(),
-        single.summary(),
-        "bounded telemetry must preserve shard-count invariance"
+        serial_bounded.summary(),
+        "bounded telemetry must preserve executor-shape invariance"
     );
     let tel = bounded.telemetry.as_ref().expect("telemetry enabled");
-    let tel1 = single.telemetry.as_ref().expect("telemetry enabled");
+    let tel1 = serial_bounded
+        .telemetry
+        .as_ref()
+        .expect("telemetry enabled");
     assert_eq!(
         tel.registry, tel1.registry,
-        "registries must match 1 vs 8 shards"
+        "registries must match serial vs executor"
     );
     assert_eq!(tel.sampled_out, tel1.sampled_out);
     assert_eq!(
@@ -1660,8 +1610,9 @@ fn fleet_obs_table(
     );
 
     // The spilled JSONL stream must re-parse line by line, account for
-    // every kept span, and carry the same span identities at any shard
-    // count (canonical per-block order + count-based drain epochs).
+    // every kept span, and carry the same span identities at any
+    // executor shape (canonical per-block order + count-based drain
+    // epochs).
     let spill = tel.spill.as_ref().expect("spill configured");
     let spill1 = tel1.spill.as_ref().expect("spill configured");
     assert_eq!(spill.io_errors(), 0, "spill writes must succeed");
@@ -1674,7 +1625,7 @@ fn fleet_obs_table(
     assert_eq!(
         keys,
         spilled_span_keys(spill1),
-        "spilled span stream must be shard-count invariant"
+        "spilled span stream must be executor-shape invariant"
     );
     assert_eq!(
         spill.spilled() + tel.sampled_out,
@@ -1713,7 +1664,7 @@ fn fleet_obs_table(
     }
 
     let mut t = TextTable::new(
-        "E23 — bounded-memory streaming telemetry: spill + sampling + histogram rollup vs the unbounded baseline (8 shards)",
+        "E23 — bounded-memory streaming telemetry: spill + sampling + histogram rollup vs the unbounded baseline (executor)",
         &["metric", "value"],
     );
     t.row(&["vehicles".into(), vehicles.to_string()]);
@@ -1871,7 +1822,7 @@ mod tests {
         // Scaled-down E14: the full 1,000×60 s run belongs to the repro
         // binary; here a small fleet proves the table asserts the
         // byte-identical contract and renders every metric row.
-        let mut cfg = FleetConfig::sized(96, 1);
+        let mut cfg = FleetConfig::sized(96);
         cfg.duration = SimDuration::from_secs(6);
         let cfg = cfg.with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(2));
         let rendered = fleet_table(cfg).render();
@@ -1883,9 +1834,9 @@ mod tests {
     fn fleet_steal_table_pins_invariance_and_profile_rows() {
         // Scaled-down E22: the full 1,000×60 s run belongs to the repro
         // binary; a small fleet proves the table asserts byte-identity
-        // under the work-stealing executor and renders the executor
-        // shape, steal count and idle-fraction rows.
-        let mut cfg = FleetConfig::sized(96, 1);
+        // under the fork/join executor and renders the executor shape,
+        // steal count and idle-fraction rows.
+        let mut cfg = FleetConfig::sized(96);
         cfg.duration = SimDuration::from_secs(6);
         let cfg = cfg.with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(2));
         let rendered = fleet_steal_table(cfg).render();
@@ -1902,7 +1853,7 @@ mod tests {
         // repro binary; a small fleet with a deliberately tiny budget
         // exercises the whole enforcement ladder — mid-run over-budget
         // spill drains, series rollup, sampling — plus the in-table
-        // assertions (peak ≤ budget, shard-invariant spilled stream,
+        // assertions (peak ≤ budget, executor-invariant spilled stream,
         // quantile fidelity) and renders every contract row.
         let rendered = fleet_obs_table(
             7,
@@ -1930,7 +1881,7 @@ mod tests {
         // trace.json that parses back through the vendored serde shim
         // and a per-line-valid spans.jsonl, and the table must render
         // the profile rows.
-        let mut cfg = FleetConfig::sized(96, 1).with_telemetry();
+        let mut cfg = FleetConfig::sized(96).with_telemetry();
         cfg.duration = SimDuration::from_secs(6);
         let cfg = cfg.with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(2));
         let dir = std::path::Path::new("target/fleet-trace-test");
@@ -1963,7 +1914,7 @@ mod tests {
         // Scaled-down E15: all three edge-tier fault kinds on a small
         // fleet; the table must render the ladder rows, per-component
         // availability, and assert the byte-identical contract.
-        let mut cfg = FleetConfig::sized(96, 1);
+        let mut cfg = FleetConfig::sized(96);
         cfg.duration = SimDuration::from_secs(10);
         cfg.edge_nodes = 2;
         let cfg = cfg
@@ -2016,7 +1967,7 @@ mod tests {
     #[test]
     fn fleet_mobility_table_pins_storm_and_invariance() {
         // Scaled-down E20: 96 vehicles on the same rush-hour mix. The
-        // table itself asserts 1-vs-8-shard byte-identity, zero injected
+        // table itself asserts serial-vs-executor byte-identity, zero injected
         // faults, the crossing partition invariant, the organic rush
         // spike, and downtown registration pressure.
         let rendered = fleet_mobility_table(7, 96, SimDuration::from_secs(16)).render();

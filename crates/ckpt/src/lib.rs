@@ -47,7 +47,10 @@ use serde_json::Value;
 /// * 2 — the fleet engine's persistent vehicle arena: vehicles no
 ///   longer carry a migration `generation`, the mobility pass no longer
 ///   stores `physical_migrations`, and the event ledger is `events`.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// * 3 — spans no longer carry a `shard` label and the mobility ledger
+///   no longer stores `same_shard_crossings` (it is `crossings -
+///   migrations`).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Magic string identifying a snapshot envelope.
 pub const SNAPSHOT_MAGIC: &str = "vdap-ckpt";

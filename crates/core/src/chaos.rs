@@ -603,11 +603,11 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
 /// 1,000-vehicle fleet for one simulated minute whose XEdge node 1
 /// crashes mid-run, tenant 0's admission quota flaps to 30 % of
 /// nominal, and region 2's cell rides a handoff storm. Every window
-/// lives on the shared barrier clock, so any shard count replays the
-/// same storm — callers set `shards` freely.
+/// lives on the shared barrier clock, so any executor width or chunk
+/// size replays the same storm.
 #[must_use]
 pub fn fleet_chaos_config(seed: u64) -> vdap_fleet::FleetConfig {
-    let mut cfg = vdap_fleet::FleetConfig::sized(1000, 1);
+    let mut cfg = vdap_fleet::FleetConfig::sized(1000);
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(60);
     cfg.with_edge_node_crash(1, SimTime::from_secs(10), SimDuration::from_secs(8))
@@ -646,12 +646,12 @@ pub fn fleet_storm_profile(cfg: &vdap_fleet::FleetConfig) -> ChaosProfile {
 /// arrivals over the [`fleet_storm_profile`] targets, mixing edge-node
 /// crashes, tenant quota flaps, regional LTE outages and handoff
 /// storms. The compiled plan is a pure function of virtual time shared
-/// by every shard, so even a randomized storm replays byte-identically
-/// at any shard count; callers print the seed so a storm can be
-/// replayed exactly.
+/// by every vehicle, so even a randomized storm replays byte-identically
+/// at any executor width or chunk size; callers print the seed so a
+/// storm can be replayed exactly.
 #[must_use]
 pub fn fleet_storm_config(seed: u64) -> vdap_fleet::FleetConfig {
-    let mut cfg = vdap_fleet::FleetConfig::sized(1000, 1);
+    let mut cfg = vdap_fleet::FleetConfig::sized(1000);
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(60);
     let profile = fleet_storm_profile(&cfg);
@@ -660,25 +660,26 @@ pub fn fleet_storm_config(seed: u64) -> vdap_fleet::FleetConfig {
     cfg.with_fault_plan(plan)
 }
 
-/// Runs `cfg` at every shard count in parallel (through the worker-pool
-/// [`crate::scenario::sweep`]) and returns each count's summary. The
-/// fleet determinism contract makes every returned string
-/// byte-identical; callers assert it to catch drift.
-#[must_use]
-pub fn fleet_chaos_sweep(
-    cfg: &vdap_fleet::FleetConfig,
-    shard_counts: &[u32],
-) -> Vec<(u32, String)> {
-    crate::scenario::sweep(shard_counts.to_vec(), |shards| {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        (shards, vdap_fleet::FleetEngine::new(c).run().summary())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `cfg` on the serial engine (one worker, the whole fleet in
+    /// one chunk) and on the default executor, asserts the two
+    /// summaries are byte-identical, and returns the summary.
+    fn serial_matches_default_executor(cfg: vdap_fleet::FleetConfig) -> String {
+        let serial = cfg
+            .clone()
+            .with_executor_threads(1)
+            .with_batch_size(cfg.vehicles);
+        let serial = vdap_fleet::FleetEngine::new(serial).run().summary();
+        let default = vdap_fleet::FleetEngine::new(cfg).run().summary();
+        assert_eq!(
+            serial, default,
+            "the default executor diverged from the serial run"
+        );
+        serial
+    }
 
     #[test]
     fn fleet_chaos_config_carries_all_edge_tier_kinds() {
@@ -720,18 +721,14 @@ mod tests {
         let mut cfg = fleet_storm_config(11);
         cfg.vehicles = 96;
         cfg.duration = SimDuration::from_secs(10);
-        let results = fleet_chaos_sweep(&cfg, &[1, 4]);
-        assert_eq!(
-            results[0].1, results[1].1,
-            "randomized storm diverged across shard counts"
-        );
+        serial_matches_default_executor(cfg);
     }
 
     #[test]
     fn fleet_chaos_sweep_is_shard_invariant() {
         // The E15 storm scaled down to test size: same three fault
         // kinds, smaller fleet and horizon.
-        let mut cfg = vdap_fleet::FleetConfig::sized(96, 1);
+        let mut cfg = vdap_fleet::FleetConfig::sized(96);
         cfg.seed = 7;
         cfg.duration = SimDuration::from_secs(10);
         cfg.edge_nodes = 2;
@@ -739,13 +736,8 @@ mod tests {
             .with_edge_node_crash(0, SimTime::from_secs(2), SimDuration::from_secs(3))
             .with_tenant_quota_flap(0, 0.3, SimTime::from_secs(4), SimDuration::from_secs(3))
             .with_handoff_storm(1, SimTime::from_secs(5), SimDuration::from_secs(2));
-        let results = fleet_chaos_sweep(&cfg, &[1, 2, 4]);
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0].0, 1);
-        for (shards, summary) in &results[1..] {
-            assert_eq!(summary, &results[0].1, "{shards} shards diverged");
-        }
-        assert!(results[0].1.contains("ladder:"), "{}", results[0].1);
+        let summary = serial_matches_default_executor(cfg);
+        assert!(summary.contains("ladder:"), "{summary}");
     }
 
     #[test]

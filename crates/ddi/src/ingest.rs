@@ -16,8 +16,9 @@
 //! first.
 //!
 //! Everything here is deterministic arithmetic over explicit inputs; the
-//! fleet engine drives these types only at epoch barriers so the
-//! N-shard vs 1-shard byte-identity contract is preserved.
+//! fleet engine drives these types only at epoch barriers so its
+//! byte-identity contract across executor widths and chunk sizes is
+//! preserved.
 
 use std::collections::VecDeque;
 

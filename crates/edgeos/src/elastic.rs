@@ -90,7 +90,7 @@ impl Decision {
 /// All thresholds are integers and all decisions are pure functions of
 /// `(current lanes, observed queue depth)`, so a scaler driven from
 /// deterministic inputs is itself deterministic — the property the
-/// fleet engine's shard-count invariance depends on.
+/// fleet engine's executor-shape invariance depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LanePolicy {
     /// Floor on the pool size (never scale below).

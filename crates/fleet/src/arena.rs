@@ -3,7 +3,7 @@
 //!
 //! The engine owns a single `Vec<VehicleState>` for the whole run, with
 //! vehicle `i` at index `i`. Each epoch's tick phase hands it to the
-//! work-stealing [`crate::WorkerPool`] as `chunks_mut(chunk_size)`, and
+//! fork/join [`crate::WorkerPool`] as `chunks_mut(chunk_size)`, and
 //! every chunk fills its own [`ChunkOut`]: one reusable set of output
 //! buffers per chunk, drained at the barrier (keeping its allocation).
 //! A region crossing is a field update on the vehicle in place.
@@ -14,7 +14,8 @@
 //! publications, vehicle-side outcomes) for the engine to fold at the
 //! barrier in chunk order, which is vehicle-id order. Vehicles never
 //! observe each other's same-epoch state, so the chunk size, the
-//! executor width and the steal schedule cannot reach any report.
+//! executor width and which worker ran which chunk cannot reach any
+//! report.
 //!
 //! There is no central event queue: each vehicle stores its own next
 //! request-tick and next ingest-upload time, and an epoch advance just
@@ -156,7 +157,7 @@ pub(crate) fn advance_chunk(
 /// One vehicle request tick at time `now`. All branching depends only
 /// on virtual time, the fault timeline, the previous barrier's
 /// snapshot, and the vehicle's private RNG — inputs independent of
-/// chunk size and steal schedule alike.
+/// chunk size and worker schedule alike.
 fn tick(
     cfg: &FleetConfig,
     injector: Option<&FaultInjector>,
@@ -320,7 +321,6 @@ fn vehicle_span(
         seq,
         tenant: cfg.tenant_of(vehicle),
         region: cfg.region_of(vehicle),
-        shard: cfg.shard_of(vehicle),
         class: class.label(),
         generated,
         admitted: None,

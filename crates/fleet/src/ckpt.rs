@@ -293,7 +293,7 @@ pub(crate) fn reliability_field(v: &Value, key: &str) -> Result<ReliabilityStats
 
 // --- fleet metrics ---------------------------------------------------
 
-/// Encodes the merged, shard-count-independent `FleetMetrics`.
+/// Encodes the merged, executor-shape-independent `FleetMetrics`.
 pub(crate) fn enc_metrics(m: &FleetMetrics) -> Value {
     obj(vec![
         ("e2e_latency_ms", enc_hist(&m.e2e_latency_ms)),
@@ -428,7 +428,7 @@ pub(crate) fn dec_batch(v: &Value) -> Result<UploadBatch, CkptError> {
 /// Restore refuses a snapshot whose fingerprint disagrees with the
 /// restoring engine's config — resuming a *different* scenario would
 /// silently produce garbage. The executor shape (`executor_threads`,
-/// `batch_size`) and the `shards` label are deliberately **excluded**:
+/// `batch_size`) is deliberately **excluded**:
 /// restoring under a different width or chunk size is a supported (and
 /// tested) operation, because the canonical snapshot holds nothing
 /// executor-shaped.
@@ -671,16 +671,15 @@ mod tests {
 
     #[test]
     fn fingerprint_guards_against_foreign_snapshots() {
-        let cfg = FleetConfig::sized(64, 2);
+        let cfg = FleetConfig::sized(64);
         let payload = obj(vec![("config", config_fingerprint(&cfg))]);
         assert!(check_fingerprint(&cfg, &payload).is_ok());
         let mut other = cfg.clone();
         other.seed ^= 1;
         assert!(check_fingerprint(&other, &payload).is_err());
-        // Neither the shard label nor the executor shape is part of
-        // the fingerprint: restoring under another one is supported.
-        let mut reshaped = cfg.with_executor_threads(4).with_batch_size(7);
-        reshaped.shards = 8;
+        // The executor shape is not part of the fingerprint:
+        // restoring under another one is supported.
+        let reshaped = cfg.with_executor_threads(4).with_batch_size(7);
         assert!(check_fingerprint(&reshaped, &payload).is_ok());
     }
 }

@@ -6,8 +6,6 @@
 //! which is the root of the engine's determinism: regrouping the same
 //! fleet into different chunks on a different number of workers changes
 //! *where* each vehicle's events execute, but not *what* they compute.
-//! The `shards` field and the `shard_*` mappings survive only as the
-//! label telemetry stamps on spans; nothing is partitioned by them.
 //!
 //! Since the workload-class refactor the cost model is per
 //! [`WorkloadClass`]: each class carries its own bytes, service times,
@@ -285,15 +283,6 @@ impl Default for CheckpointConfig {
 pub enum FleetConfigError {
     /// `vehicles == 0`.
     NoVehicles,
-    /// `shards == 0`.
-    NoShards,
-    /// `shards > vehicles`: some shards would own no vehicles.
-    MoreShardsThanVehicles {
-        /// Configured shard count.
-        shards: u32,
-        /// Configured fleet size.
-        vehicles: u32,
-    },
     /// `tenants == 0`.
     NoTenants,
     /// `tenants > vehicles`: some tenants would have no traffic and
@@ -345,15 +334,6 @@ pub enum FleetConfigError {
     BadIngest(String),
     /// Mobility needs at least two regions to cross between.
     MobilityNeedsRegions,
-    /// With mobility on, vehicles live on the shard of their *current*
-    /// region (`shard_of_region`), so every shard must own at least one
-    /// region.
-    MoreShardsThanRegions {
-        /// Configured shard count.
-        shards: u32,
-        /// Configured region count.
-        regions: u32,
-    },
     /// The mobility config carries an unusable value.
     BadMobility(String),
     /// `checkpoint.interval_epochs == 0`: a snapshot at every zeroth
@@ -392,11 +372,6 @@ impl fmt::Display for FleetConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FleetConfigError::NoVehicles => write!(f, "fleet needs at least one vehicle"),
-            FleetConfigError::NoShards => write!(f, "fleet needs at least one shard"),
-            FleetConfigError::MoreShardsThanVehicles { shards, vehicles } => write!(
-                f,
-                "{shards} shards over {vehicles} vehicles: more shards than vehicles is meaningless"
-            ),
             FleetConfigError::NoTenants => write!(f, "fleet needs at least one tenant"),
             FleetConfigError::MoreTenantsThanVehicles { tenants, vehicles } => write!(
                 f,
@@ -429,11 +404,6 @@ impl fmt::Display for FleetConfigError {
             FleetConfigError::MobilityNeedsRegions => {
                 write!(f, "mobility needs at least two regions to cross between")
             }
-            FleetConfigError::MoreShardsThanRegions { shards, regions } => write!(
-                f,
-                "{shards} shards over {regions} regions: with mobility on, vehicles are \
-                 sharded by current region, so every shard needs at least one region"
-            ),
             FleetConfigError::BadMobility(what) => write!(f, "mobility: {what}"),
             FleetConfigError::ZeroCheckpointInterval => {
                 write!(f, "checkpoint interval must be at least one epoch")
@@ -493,9 +463,6 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Fleet size.
     pub vehicles: u32,
-    /// Shard label stamped on telemetry spans (`shard_of`). It no
-    /// longer partitions the fleet or sizes the executor.
-    pub shards: u32,
     /// Service tenants sharing the XEdge servers.
     pub tenants: u32,
     /// Geographic LTE regions (cell coverage areas).
@@ -548,7 +515,7 @@ pub struct FleetConfig {
     pub telemetry: bool,
     /// Resident-byte budget for sim-time telemetry. When the estimated
     /// resident telemetry bytes (span buffer + registry, a count-based
-    /// and therefore shard-invariant estimate) cross the budget at an
+    /// and therefore executor-invariant estimate) cross the budget at an
     /// epoch barrier, the engine enforces it: buffered spans spill to
     /// `span_spill` (when set), per-epoch series roll up into streaming
     /// histograms behind a retention window, and — when neither spill
@@ -564,8 +531,8 @@ pub struct FleetConfig {
     pub span_spill: Option<std::path::PathBuf>,
     /// Deterministic span sampling: keep all non-OK spans, and one in
     /// `N` OK spans chosen by a seeded hash of `(vehicle, seq)` — the
-    /// kept set is shard-count- and executor-width-free. `None` keeps
-    /// every span (unless a crossed budget auto-activates sampling, see
+    /// kept set is executor-shape-free. `None` keeps every span (unless
+    /// a crossed budget auto-activates sampling, see
     /// `telemetry_budget`).
     pub span_sample: Option<u32>,
     /// Durable barrier checkpointing: when set, the engine snapshots
@@ -574,17 +541,17 @@ pub struct FleetConfig {
     /// `FleetEngine::run_supervised` can resume a crashed run from the
     /// newest valid generation. `None` disables checkpointing.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Vehicles per stealable chunk of the arena in the epoch tick
-    /// phase. `None` derives it from the fleet size and the executor
-    /// width ([`FleetConfig::chunk_size`]). Smaller chunks steal (and so
-    /// balance) better at the cost of per-chunk overhead; the value is
+    /// Vehicles per chunk of the arena in the epoch tick phase. `None`
+    /// derives it from the fleet size and the executor width
+    /// ([`FleetConfig::chunk_size`]). Smaller chunks balance better
+    /// across workers at the cost of per-chunk overhead; the value is
     /// provably invisible in every report (vehicles own their RNG
     /// streams and chunk outputs fold in vehicle-id order), so it is
     /// purely a performance knob.
     pub batch_size: Option<u32>,
-    /// Worker threads for the epoch tick phase's work-stealing
-    /// executor. `None` sizes it to the machine
-    /// (`available_parallelism`); any value is clamped the same way.
+    /// Worker threads for the epoch tick phase's fork/join executor.
+    /// `None` sizes it to the machine (`available_parallelism`); any
+    /// value is clamped the same way.
     /// Like `batch_size`, provably invisible in every report.
     pub executor_threads: Option<u32>,
 }
@@ -594,7 +561,6 @@ impl Default for FleetConfig {
         FleetConfig {
             seed: 42,
             vehicles: 1000,
-            shards: 1,
             tenants: 4,
             regions: 8,
             duration: SimDuration::from_secs(60),
@@ -626,13 +592,11 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// A config with the given fleet size and shard count, defaults
-    /// elsewhere.
+    /// A config with the given fleet size, defaults elsewhere.
     #[must_use]
-    pub fn sized(vehicles: u32, shards: u32) -> Self {
+    pub fn sized(vehicles: u32) -> Self {
         FleetConfig {
             vehicles,
-            shards,
             ..FleetConfig::default()
         }
     }
@@ -718,7 +682,7 @@ impl FleetConfig {
         self
     }
 
-    /// Caps the work-stealing executor at `threads` workers (clamped to
+    /// Caps the fork/join executor at `threads` workers (clamped to
     /// the machine; a pure performance knob — see
     /// [`FleetConfig::executor_threads`]).
     #[must_use]
@@ -737,9 +701,9 @@ impl FleetConfig {
 
     /// Vehicles per tick-phase chunk on an executor of `workers`
     /// threads: the configured `batch_size`, or else about four chunks
-    /// per worker, so an idle worker has chunks to steal, but never
-    /// fewer than 64 vehicles, so per-chunk overhead stays small
-    /// against the work.
+    /// per worker, so a worker that finishes early has chunks left to
+    /// take, but never fewer than 64 vehicles, so per-chunk overhead
+    /// stays small against the work.
     #[must_use]
     pub fn chunk_size(&self, workers: usize) -> usize {
         match self.batch_size {
@@ -868,7 +832,8 @@ impl FleetConfig {
 
     /// Enables geo-mobility with the default traffic mix (commute /
     /// roam / rush-hour). Vehicles cross region boundaries, pay
-    /// cellular handoffs, and migrate between shards at barriers.
+    /// cellular handoffs, and migrate between home-node domains at
+    /// barriers.
     #[must_use]
     pub fn with_mobility(self) -> Self {
         self.with_mobility_config(MobilityConfig::default())
@@ -1049,15 +1014,6 @@ impl FleetConfig {
         if self.vehicles == 0 {
             return Err(FleetConfigError::NoVehicles);
         }
-        if self.shards == 0 {
-            return Err(FleetConfigError::NoShards);
-        }
-        if self.shards > self.vehicles {
-            return Err(FleetConfigError::MoreShardsThanVehicles {
-                shards: self.shards,
-                vehicles: self.vehicles,
-            });
-        }
         if self.tenants == 0 {
             return Err(FleetConfigError::NoTenants);
         }
@@ -1109,7 +1065,7 @@ impl FleetConfig {
             ingest.validate()?;
         }
         if let Some(mobility) = &self.mobility {
-            validate_mobility(mobility, self.shards, self.regions)?;
+            validate_mobility(mobility, self.regions)?;
         }
         if let Some(ckpt) = &self.checkpoint {
             if ckpt.interval_epochs == 0 {
@@ -1166,54 +1122,10 @@ impl FleetConfig {
         vehicle % self.tenants
     }
 
-    /// The LTE region a vehicle drives in (contiguous blocks, so a
-    /// region aligns with whole shards whenever `shards == regions`).
+    /// The LTE region a vehicle drives in (contiguous id blocks).
     #[must_use]
     pub fn region_of(&self, vehicle: u32) -> u32 {
         ((u64::from(vehicle) * u64::from(self.regions)) / u64::from(self.vehicles)) as u32
-    }
-
-    /// The id range shard `shard` owns: `[lo, hi)`, contiguous, covering
-    /// all vehicles across shards.
-    #[must_use]
-    pub fn shard_range(&self, shard: u32) -> std::ops::Range<u32> {
-        let v = u64::from(self.vehicles);
-        let s = u64::from(self.shards);
-        let lo = (v * u64::from(shard) / s) as u32;
-        let hi = (v * (u64::from(shard) + 1) / s) as u32;
-        lo..hi
-    }
-
-    /// The shard that owns a vehicle — the inverse of
-    /// [`FleetConfig::shard_range`]. Telemetry uses it to stamp spans
-    /// with a shard attribute without threading shard indices through
-    /// the serving path.
-    #[must_use]
-    pub fn shard_of(&self, vehicle: u32) -> u32 {
-        ((u64::from(vehicle) + 1) * u64::from(self.shards)).div_ceil(u64::from(self.vehicles))
-            as u32
-            - 1
-    }
-
-    /// The shard label of a *region* when mobility is on: contiguous
-    /// region blocks, the region-space analogue of
-    /// [`FleetConfig::shard_range`]. A label only: the engine keeps
-    /// every vehicle in one arena whatever region it is in.
-    #[must_use]
-    pub fn shard_of_region(&self, region: u32) -> u32 {
-        ((u64::from(region) * u64::from(self.shards)) / u64::from(self.regions)) as u32
-    }
-
-    /// The shard label of a vehicle's starting position: its initial
-    /// region's shard when mobility is on, the contiguous id-range shard
-    /// otherwise.
-    #[must_use]
-    pub fn initial_shard_of(&self, vehicle: u32) -> u32 {
-        if self.mobility.is_some() {
-            self.shard_of_region(self.region_of(vehicle))
-        } else {
-            self.shard_of(vehicle)
-        }
     }
 
     /// End of simulated time for this run.
@@ -1224,18 +1136,10 @@ impl FleetConfig {
 }
 
 /// Mobility-specific validation (the traffic model lives in
-/// `vdap-mobility`, the shard/region coupling it must respect lives
-/// here).
-fn validate_mobility(
-    mobility: &MobilityConfig,
-    shards: u32,
-    regions: u32,
-) -> Result<(), FleetConfigError> {
+/// `vdap-mobility`, the region count it needs lives here).
+fn validate_mobility(mobility: &MobilityConfig, regions: u32) -> Result<(), FleetConfigError> {
     if regions < 2 {
         return Err(FleetConfigError::MobilityNeedsRegions);
-    }
-    if shards > regions {
-        return Err(FleetConfigError::MoreShardsThanRegions { shards, regions });
     }
     let reject = |what: &str| Err(FleetConfigError::BadMobility(what.to_string()));
     if mobility.total_weight() == 0 {
@@ -1312,48 +1216,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shard_ranges_partition_the_fleet() {
-        for shards in [1u32, 2, 3, 7, 8] {
-            let cfg = FleetConfig::sized(1000, shards);
-            let mut covered = 0u32;
-            let mut next = 0u32;
-            for s in 0..shards {
-                let r = cfg.shard_range(s);
-                assert_eq!(r.start, next, "ranges must be contiguous");
-                next = r.end;
-                covered += r.end - r.start;
-            }
-            assert_eq!(covered, 1000);
-            assert_eq!(next, 1000);
-        }
-    }
-
-    #[test]
-    fn shard_of_inverts_shard_range() {
-        for (vehicles, shards) in [(10u32, 3u32), (1000, 8), (1000, 7), (7, 7), (5, 1)] {
-            let cfg = FleetConfig::sized(vehicles, shards);
-            for s in 0..shards {
-                for v in cfg.shard_range(s) {
-                    assert_eq!(cfg.shard_of(v), s, "vehicle {v} of {vehicles}/{shards}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn regions_align_with_shards_when_counts_match() {
-        let cfg = FleetConfig::sized(1000, 8);
-        for s in 0..8 {
-            let r = cfg.shard_range(s);
-            let regions: std::collections::BTreeSet<u32> = r.map(|v| cfg.region_of(v)).collect();
-            assert_eq!(regions.len(), 1, "shard {s} spans one region");
+        // Regions are contiguous id blocks: 1,000 vehicles over 8
+        // regions give 8 runs of 125 ids each.
+        let cfg = FleetConfig::sized(1000);
+        for v in 0..1000 {
+            assert_eq!(cfg.region_of(v), v / 125, "vehicle {v}");
         }
     }
 
     #[test]
     fn mappings_ignore_shard_count() {
-        let a = FleetConfig::sized(500, 1);
-        let b = FleetConfig::sized(500, 8);
+        // The vehicle → tenant/region mappings read only the fleet-wide
+        // counts, never the executor shape.
+        let a = FleetConfig::sized(500);
+        let b = a.clone().with_executor_threads(4).with_batch_size(7);
         for v in 0..500 {
             assert_eq!(a.tenant_of(v), b.tenant_of(v));
             assert_eq!(a.region_of(v), b.region_of(v));
@@ -1382,31 +1259,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_rejected_with_reason() {
-        let cfg = FleetConfig {
-            shards: 0,
-            ..FleetConfig::default()
-        };
-        assert_eq!(cfg.validate(), Err(FleetConfigError::NoShards));
-        assert!(cfg.validate().unwrap_err().to_string().contains("shard"));
-    }
-
-    #[test]
-    fn more_shards_than_vehicles_rejected_with_reason() {
-        let err = FleetConfig::sized(2, 4).validate().unwrap_err();
-        assert_eq!(
-            err,
-            FleetConfigError::MoreShardsThanVehicles {
-                shards: 4,
-                vehicles: 2
-            }
-        );
-        assert!(err.to_string().contains("more shards than vehicles"));
-    }
-
-    #[test]
     fn more_tenants_than_vehicles_rejected_with_reason() {
-        let mut cfg = FleetConfig::sized(8, 1);
+        let mut cfg = FleetConfig::sized(8);
         cfg.tenants = 9;
         let err = cfg.validate().unwrap_err();
         assert_eq!(
@@ -1479,46 +1333,16 @@ mod tests {
 
     #[test]
     fn mobility_validation_couples_shards_to_regions() {
-        let cfg = FleetConfig::sized(256, 8).with_mobility();
+        let cfg = FleetConfig::sized(256).with_mobility();
         assert!(cfg.validate().is_ok());
-        let mut wide = FleetConfig::sized(256, 16).with_mobility();
-        assert_eq!(
-            wide.validate(),
-            Err(FleetConfigError::MoreShardsThanRegions {
-                shards: 16,
-                regions: 8
-            })
-        );
-        wide.regions = 16;
-        assert!(wide.validate().is_ok());
-        let mut solo = FleetConfig::sized(64, 1).with_mobility();
+        let mut solo = FleetConfig::sized(64).with_mobility();
         solo.regions = 1;
         assert_eq!(solo.validate(), Err(FleetConfigError::MobilityNeedsRegions));
-        let mut bad = FleetConfig::sized(64, 1).with_mobility();
+        let mut bad = FleetConfig::sized(64).with_mobility();
         bad.mobility.as_mut().unwrap().rush_window = (0.5, 0.4);
         let err = bad.validate().unwrap_err();
         assert!(matches!(err, FleetConfigError::BadMobility(_)));
         assert!(err.to_string().contains("rush window"), "{err}");
-    }
-
-    #[test]
-    fn shard_of_region_partitions_regions_and_tracks_initial_shard() {
-        let cfg = FleetConfig::sized(1000, 3).with_mobility();
-        let mut last = 0;
-        for r in 0..cfg.regions {
-            let s = cfg.shard_of_region(r);
-            assert!(s >= last && s < cfg.shards, "monotone onto [0, shards)");
-            last = s;
-        }
-        assert_eq!(cfg.shard_of_region(cfg.regions - 1), cfg.shards - 1);
-        for v in [0u32, 17, 499, 999] {
-            assert_eq!(
-                cfg.initial_shard_of(v),
-                cfg.shard_of_region(cfg.region_of(v))
-            );
-        }
-        let fixed = FleetConfig::sized(1000, 3);
-        assert_eq!(fixed.initial_shard_of(999), fixed.shard_of(999));
     }
 
     #[test]

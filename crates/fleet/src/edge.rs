@@ -7,7 +7,7 @@
 //! load-dependent service time (the [`ContentionModel`] priced per
 //! class), and per-region LTE bandwidth sharing. Because serving
 //! consumes only globally-determined data in a canonical order, its
-//! outputs are independent of how the fleet was sharded.
+//! outputs are independent of the executor's width and chunk size.
 //!
 //! ## Workload classes
 //!
@@ -25,8 +25,8 @@
 //! caps from the queue depth observed at the *previous* barrier —
 //! observe at barrier `k`, actuate at barrier `k + 1`. Decisions are
 //! integer functions of (lane count, queue depth), both of which are
-//! globally determined, so elasticity composes with the N-shard vs
-//! 1-shard byte-identity invariant. Grown lanes join round-robin
+//! globally determined, so elasticity composes with the byte-identity
+//! invariant across executor shapes. Grown lanes join round-robin
 //! (`node = index % edge_nodes`, preserving the homing rule); shrinks
 //! remove only *idle* tail lanes and never drop a node's last lane, so
 //! a busy pool defers its shrink to a later barrier instead of

@@ -1,7 +1,7 @@
 //! The fleet engine: epoch loop, barriers, and the run report.
 //!
 //! Each epoch is a two-phase fork/join. The **tick** hands the
-//! persistent, id-ordered vehicle arena to the work-stealing
+//! persistent, id-ordered vehicle arena to the fork/join
 //! [`WorkerPool`] as `chunks_mut(chunk_size)`; every chunk advances its
 //! vehicles to the epoch boundary into its own reusable output buffer.
 //! The **barrier** then runs single-threaded: it folds the chunk
@@ -24,7 +24,7 @@
 //!    which is vehicle-id order; all cross-vehicle coupling (XEdge
 //!    admission, fair queueing, contention, snapshot union) happens
 //!    single-threaded on globally sorted data, so chunk size, executor
-//!    width and the steal schedule cannot leak in.
+//!    width and the worker schedule cannot leak in.
 //! 4. **Aggregation is order-free.** Metrics are integer counters and
 //!    [`vdap_sim::StreamingHistogram`]s whose recording and merging are
 //!    associative and commutative bit-for-bit.
@@ -78,7 +78,7 @@ use crate::vehicle::{VehicleState, BOARD_W, RADIO_W};
 /// use vdap_fleet::{FleetConfig, FleetEngine};
 /// use vdap_sim::SimDuration;
 ///
-/// let mut cfg = FleetConfig::sized(64, 2);
+/// let mut cfg = FleetConfig::sized(64);
 /// cfg.duration = SimDuration::from_secs(5);
 /// let report = FleetEngine::new(cfg).run();
 /// assert!(report.metrics.requests > 0);
@@ -190,10 +190,10 @@ impl FleetEngine {
     /// Resumes a run from `snapshot` and drives it to the horizon.
     ///
     /// The snapshot must come from a scenario with the same fingerprint
-    /// (seed, fleet shape, subsystem toggles). The executor shape and
-    /// the shard label are deliberately not fingerprinted: a snapshot
-    /// taken at one executor width and chunk size restores under any
-    /// other, and the resumed report's summary stays byte-identical.
+    /// (seed, fleet shape, subsystem toggles). The executor shape is
+    /// deliberately not fingerprinted: a snapshot taken at one executor
+    /// width and chunk size restores under any other, and the resumed
+    /// report's summary stays byte-identical.
     pub fn restore(&self, snapshot: &Snapshot) -> Result<FleetReport, CkptError> {
         let ctx = RunCtx::new(&self.cfg);
         let started = Instant::now();
@@ -378,11 +378,11 @@ fn run_core(
         let end_raw = SimTime::ZERO + cfg.epoch * (state.epoch_index + 1);
         let end = if end_raw > horizon { horizon } else { end_raw };
 
-        // ---- tick phase: stealable arena chunks, fork/join ----
+        // ---- tick phase: arena chunks, scoped fork/join ----
         // Each chunk advances its vehicles to the barrier against the
-        // previous epoch's collab snapshot, into its own buffer; the
-        // steal schedule is unobservable because every vehicle owns its
-        // RNG streams and the buffers fold in chunk order below.
+        // previous epoch's collab snapshot, into its own buffer; which
+        // worker runs which chunk is unobservable because every vehicle
+        // owns its RNG streams and the buffers fold in chunk order below.
         let mut tasks: Vec<(&mut [VehicleState], &mut ChunkOut)> = state
             .vehicles
             .chunks_mut(chunk)
@@ -588,7 +588,6 @@ fn run_core(
         reliability: state.reliability,
         region_availability,
         vehicles: cfg.vehicles,
-        shards: cfg.shards,
         duration: cfg.duration,
         events_processed: state.events,
         admission_offered: state.edge.offered(),
@@ -798,7 +797,6 @@ fn enc_span(s: &RequestSpan) -> Value {
         ("seq", Value::Number(f64::from(s.seq))),
         ("tenant", Value::Number(f64::from(s.tenant))),
         ("region", Value::Number(f64::from(s.region))),
-        ("shard", Value::Number(f64::from(s.shard))),
         ("class", Value::String(s.class.to_string())),
         ("generated", enc_time(s.generated)),
         ("admitted", enc_opt_time(s.admitted)),
@@ -820,7 +818,6 @@ fn dec_span(v: &Value) -> Result<RequestSpan, CkptError> {
         seq: get_u32(v, "seq")?,
         tenant: get_u32(v, "tenant")?,
         region: get_u32(v, "region")?,
-        shard: get_u32(v, "shard")?,
         class: intern_name(get_str(v, "class")?),
         generated: time_field(v, "generated")?,
         admitted: opt_time_field(v, "admitted")?,
@@ -1133,7 +1130,6 @@ fn enc_mobility_metrics(m: &MobilityMetrics) -> Value {
     obj(vec![
         ("crossings", u64_hex(m.crossings)),
         ("migrations", u64_hex(m.migrations)),
-        ("same_shard_crossings", u64_hex(m.same_shard_crossings)),
         ("storm_crossings", u64_hex(m.storm_crossings)),
         ("stale_cache_hits", u64_hex(m.stale_cache_hits)),
         ("readdressed_batches", u64_hex(m.readdressed_batches)),
@@ -1147,7 +1143,6 @@ fn dec_mobility_metrics(v: &Value) -> Result<MobilityMetrics, CkptError> {
     Ok(MobilityMetrics {
         crossings: get_u64_hex(v, "crossings")?,
         migrations: get_u64_hex(v, "migrations")?,
-        same_shard_crossings: get_u64_hex(v, "same_shard_crossings")?,
         storm_crossings: get_u64_hex(v, "storm_crossings")?,
         stale_cache_hits: get_u64_hex(v, "stale_cache_hits")?,
         readdressed_batches: get_u64_hex(v, "readdressed_batches")?,
@@ -1351,8 +1346,6 @@ impl MobilityPass {
                 if c.from % cfg.edge_nodes != c.to % cfg.edge_nodes {
                     self.metrics.migrations += 1;
                     epoch_migrations += 1;
-                } else {
-                    self.metrics.same_shard_crossings += 1;
                 }
                 reliability.record_degraded(&self.handoff_labels[c.to as usize], cost);
                 edge.reregister(tenant, c.from, c.to);
@@ -1456,7 +1449,6 @@ fn record_outcome(
                 seq: served.seq,
                 tenant: served.tenant,
                 region: served.region,
-                shard: cfg.shard_of(served.vehicle),
                 class: served.class.label(),
                 generated: served.arrival,
                 admitted: Some(served.admitted),
@@ -1484,7 +1476,6 @@ fn record_outcome(
                 seq: rejected.seq,
                 tenant: rejected.tenant,
                 region: rejected.region,
-                shard: cfg.shard_of(rejected.vehicle),
                 class: rejected.class.label(),
                 generated: rejected.arrival,
                 admitted: None,
@@ -1515,7 +1506,6 @@ fn record_outcome(
                 seq: fallback.seq,
                 tenant: fallback.tenant,
                 region: fallback.region,
-                shard: cfg.shard_of(fallback.vehicle),
                 class: fallback.class.label(),
                 generated: fallback.arrival,
                 admitted: Some(fallback.decided),
@@ -1618,10 +1608,10 @@ mod tests {
     use super::*;
 
     /// 96 vehicles for 10 s on `workers` executor threads, one arena
-    /// chunk per worker, under the shard label `workers` (the tests
-    /// below compare widths 1 and 4 or 1 and 3).
+    /// chunk per worker (the tests below compare widths 1 and 4 or 1
+    /// and 3).
     fn small(workers: u32) -> FleetConfig {
-        let mut cfg = FleetConfig::sized(96, workers)
+        let mut cfg = FleetConfig::sized(96)
             .with_executor_threads(workers)
             .with_batch_size(96 / workers);
         cfg.duration = SimDuration::from_secs(10);
@@ -1668,8 +1658,8 @@ mod tests {
 
     #[test]
     fn node_crash_walks_the_degradation_ladder() {
-        let build = |shards: u32| {
-            let mut cfg = small(shards);
+        let build = |workers: u32| {
+            let mut cfg = small(workers);
             cfg.edge_nodes = 1;
             let cfg = cfg.with_edge_node_crash(0, SimTime::from_secs(2), SimDuration::from_secs(4));
             FleetEngine::new(cfg).run()
@@ -1710,8 +1700,8 @@ mod tests {
 
     #[test]
     fn ingest_runs_healthy_and_stays_shard_invariant() {
-        let build = |shards: u32| {
-            let mut cfg = small(shards).with_ingest();
+        let build = |workers: u32| {
+            let mut cfg = small(workers).with_ingest();
             cfg.duration = SimDuration::from_secs(10);
             FleetEngine::new(cfg).run()
         };
@@ -1732,8 +1722,8 @@ mod tests {
 
     #[test]
     fn storage_chaos_degrades_ingest_through_the_ladder() {
-        let build = |shards: u32| {
-            let mut cfg = small(shards)
+        let build = |workers: u32| {
+            let mut cfg = small(workers)
                 .with_ingest()
                 .with_collector_outage(0, SimTime::from_secs(1), SimDuration::from_secs(6))
                 .with_storage_brownout(0.02, SimTime::from_secs(2), SimDuration::from_secs(6));
@@ -1765,8 +1755,8 @@ mod tests {
 
     #[test]
     fn mobility_crossings_stay_shard_invariant() {
-        let build = |shards: u32| {
-            let mut cfg = small(shards).with_mobility();
+        let build = |workers: u32| {
+            let mut cfg = small(workers).with_mobility();
             cfg.duration = SimDuration::from_secs(10);
             FleetEngine::new(cfg).run()
         };
@@ -1832,8 +1822,8 @@ mod tests {
 
     #[test]
     fn chaos_summary_is_shard_invariant_too() {
-        let build = |shards| {
-            let cfg = small(shards).with_regional_outage(
+        let build = |workers| {
+            let cfg = small(workers).with_regional_outage(
                 1,
                 SimTime::from_secs(3),
                 SimDuration::from_secs(3),

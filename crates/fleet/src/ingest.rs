@@ -1,9 +1,10 @@
 //! The engine's barrier ingest pass: fleet-scale DDI ingestion under
 //! pressure.
 //!
-//! Shards only *generate* [`UploadBatch`]es (a pure function of each
-//! vehicle's private DDI stream); everything cross-vehicle happens here,
-//! single-threaded at epoch barriers, in canonical batch order:
+//! The tick phase only *generates* [`UploadBatch`]es (a pure function
+//! of each vehicle's private DDI stream); everything cross-vehicle
+//! happens here, single-threaded at epoch barriers, in canonical batch
+//! order:
 //!
 //! 1. **Uplink pricing.** Each region's batches share the cellular
 //!    uplink; the [`ContentionModel`] prices the transfer from how many
@@ -28,7 +29,7 @@
 //! All ladder randomness comes from one engine-owned RNG stream
 //! consumed in canonical batch order, and every counter below is a
 //! plain integer or a [`StreamingHistogram`], so the pass preserves the
-//! N-shard vs 1-shard byte-identity contract.
+//! byte-identity contract across executor widths and chunk sizes.
 
 use std::collections::BTreeMap;
 
@@ -225,7 +226,7 @@ impl IngestPass {
     /// retries and TTL-cached deferrals — to its new region's
     /// collector, returning how many batches moved. Called by the
     /// engine's mobility pass in canonical vehicle order, so the
-    /// re-addressing is shard-count invariant.
+    /// re-addressing is executor-shape invariant.
     pub fn readdress(&mut self, vehicle: u64, region: u32) -> u64 {
         let mut moved = 0u64;
         for p in self.pending.iter_mut() {
@@ -309,7 +310,7 @@ impl IngestPass {
 
         // Canonical processing order: the batch identity (vehicle, seq)
         // is unique and sent_at is fixed at generation, so this order is
-        // independent of shard count and of which path re-offered a
+        // independent of the executor shape and of which path re-offered a
         // batch.
         offers.sort_unstable_by_key(|o| (o.batch.sent_at, o.batch.vehicle, o.batch.seq));
 
@@ -716,7 +717,7 @@ mod tests {
     use super::*;
 
     fn ingest_cfg() -> FleetConfig {
-        let mut cfg = FleetConfig::sized(64, 1).with_ingest();
+        let mut cfg = FleetConfig::sized(64).with_ingest();
         cfg.duration = SimDuration::from_secs(10);
         cfg
     }

@@ -38,9 +38,10 @@
 //!
 //! Every vehicle lives in one persistent, id-ordered arena. Each epoch
 //! the arena is handed in chunks ([`FleetConfig::chunk_size`]) to a
-//! persistent work-stealing executor ([`WorkerPool`], sized by
-//! [`FleetConfig::with_executor_threads`]), each chunk filling its own
-//! reusable output buffer. Cross-vehicle interactions — XEdge admission
+//! scoped fork/join executor ([`WorkerPool`], sized by
+//! [`FleetConfig::with_executor_threads`]) whose workers take chunks
+//! from one shared queue, each chunk filling its own reusable output
+//! buffer. Cross-vehicle interactions — XEdge admission
 //! control and per-(tenant, class) fair queueing, V2V result sharing,
 //! regional LTE outages — are exchanged at epoch barriers with
 //! conservative synchronization on canonically ordered data, so a run
@@ -52,7 +53,7 @@
 //! use vdap_fleet::{FleetConfig, FleetEngine};
 //! use vdap_sim::SimDuration;
 //!
-//! let mut cfg = FleetConfig::sized(128, 1).with_elastic_capacity();
+//! let mut cfg = FleetConfig::sized(128).with_elastic_capacity();
 //! cfg.duration = SimDuration::from_secs(10);
 //! let parallel = FleetEngine::new(cfg.clone().with_batch_size(7)).run();
 //! let serial = FleetEngine::new(cfg.with_executor_threads(1)).run();

@@ -302,10 +302,9 @@ impl FleetMetrics {
 ///
 /// Both halves are derived from values the deterministic serving path
 /// already computes: spans carry the canonical per-request lifecycle,
-/// the registry holds per-epoch samples taken at barriers. Modulo the
-/// explicit `shard` span attribute, the telemetry of an N-shard run is
-/// identical to a 1-shard run of the same seed (pinned by
-/// `tests/telemetry.rs`).
+/// the registry holds per-epoch samples taken at barriers. The
+/// telemetry of a run at any executor width and chunk size is identical
+/// to a serial run of the same seed (pinned by `tests/telemetry.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct FleetTelemetry {
     /// One span per request, in canonical `(generated, vehicle, seq)`
@@ -362,8 +361,8 @@ impl FleetTelemetry {
 
     /// Accepts one drained span, applying the sampling decision. The
     /// decision reads only `(seed, vehicle, seq, outcome)` — never the
-    /// shard, worker, or arrival order — so what survives is identical
-    /// across shard counts and executor widths.
+    /// worker, chunk, or arrival order — so what survives is identical
+    /// across executor widths and chunk sizes.
     pub fn absorb(&mut self, span: RequestSpan) {
         if let Some(keep_one_in) = self.sample {
             if span.outcome.is_ok_path()
@@ -378,7 +377,7 @@ impl FleetTelemetry {
 
     /// Estimated resident telemetry bytes: buffered spans plus the
     /// registry estimate. Count-based on purpose — the estimate, and
-    /// every budget decision derived from it, is shard-count invariant.
+    /// every budget decision derived from it, is executor-shape invariant.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         self.spans.len() as u64 * SPAN_RESIDENT_BYTES + self.registry.approx_bytes()
@@ -468,9 +467,6 @@ pub struct FleetReport {
     pub region_availability: Vec<(String, f64)>,
     /// Vehicles simulated.
     pub vehicles: u32,
-    /// The config's shard label (excluded from [`FleetReport::summary`];
-    /// it no longer partitions the fleet).
-    pub shards: u32,
     /// Simulated duration.
     pub duration: SimDuration,
     /// Total discrete events processed across the fleet.
@@ -481,7 +477,7 @@ pub struct FleetReport {
     pub admission_rejected: u64,
     /// Geo-mobility ledger, when the run used
     /// [`crate::FleetConfig::with_mobility`]. Every field is
-    /// shard-count invariant (see [`MobilityMetrics`]).
+    /// executor-shape invariant (see [`MobilityMetrics`]).
     pub mobility: Option<MobilityMetrics>,
     /// Per-region admission accounting, present only under mobility
     /// (indexed by region id).
@@ -516,7 +512,7 @@ impl FleetReport {
     /// A canonical multi-line text summary of the run's aggregate
     /// metrics.
     ///
-    /// Deliberately excludes the shard label, the executor shape and
+    /// Deliberately excludes the executor shape and
     /// any wall-clock figure: same-seed runs at any executor width and
     /// chunk size must produce **byte-identical** summaries, which is
     /// the fleet engine's determinism contract (and is enforced by
@@ -625,7 +621,7 @@ impl FleetReport {
                  stale_cache_hits={} readdressed={}",
                 mob.crossings,
                 mob.migrations,
-                mob.same_shard_crossings,
+                mob.crossings - mob.migrations,
                 mob.storm_crossings,
                 mob.stale_cache_hits,
                 mob.readdressed_batches
@@ -691,7 +687,7 @@ impl FleetReport {
         out
     }
 
-    /// The wall-clock diagnostics block: shard label, per-worker busy
+    /// The wall-clock diagnostics block: per-worker busy
     /// and barrier-idle time, serial barrier time, and telemetry volume.
     ///
     /// This is the *nondeterministic* counterpart of
@@ -700,13 +696,7 @@ impl FleetReport {
     /// comparison.
     #[must_use]
     pub fn diagnostics(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "diagnostics: shards={} (wall-clock; excluded from the deterministic summary)",
-            self.shards
-        );
-        out.push_str(&self.profile.render());
+        let mut out = self.profile.render();
         if let Some(tel) = &self.telemetry {
             let series = tel.registry.all_series().count();
             let _ = writeln!(
@@ -835,7 +825,6 @@ mod tests {
             reliability: ReliabilityStats::new(),
             region_availability: Vec::new(),
             vehicles: 10,
-            shards: 2,
             duration: SimDuration::from_secs(1),
             events_processed: 0,
             admission_offered: 0,
@@ -848,17 +837,12 @@ mod tests {
                 worker_busy: vec![std::time::Duration::from_millis(5); 2],
                 worker_idle: vec![std::time::Duration::from_millis(1); 2],
                 worker_steals: vec![1, 0],
-                worker_stolen: vec![
-                    std::time::Duration::from_millis(1),
-                    std::time::Duration::ZERO,
-                ],
                 barrier: std::time::Duration::from_millis(2),
                 epochs: 4,
             },
             snapshots: SnapshotDiagnostics::default(),
         };
         let d = report.diagnostics();
-        assert!(d.contains("shards=2"));
         assert!(d.contains("worker[0]:"));
         assert!(d.contains("barrier_idle_ms="));
         assert!(d.contains("steals="));
@@ -901,7 +885,6 @@ mod tests {
             reliability: ReliabilityStats::new(),
             region_availability: vec![("region0/lte".to_string(), 0.9)],
             vehicles: 10,
-            shards: 2,
             duration: SimDuration::from_secs(60),
             events_processed: 0,
             admission_offered: 0,
@@ -921,7 +904,6 @@ mod tests {
         assert!(s.contains("class[pbeam-training]:"));
         assert!(s.contains("elastic: lanes_mean="));
         assert!(s.contains("rounds_skipped=0"));
-        assert!(!s.contains("shards"), "summary must not leak shard count");
         assert!(
             !s.contains("ingest:"),
             "no ingest lines unless the pipeline ran"

@@ -1,8 +1,7 @@
 //! Property tests for the fleet engine's two determinism contracts:
 //! streaming-histogram merges are associative and commutative
 //! bit-for-bit, and fleet reports are invariant to how the vehicle
-//! arena is chunked and how many workers advance it (the shard label
-//! rides along and must not matter either).
+//! arena is chunked and how many workers advance it.
 
 mod common;
 
@@ -74,7 +73,7 @@ fn grid_reports(cfg: &FleetConfig) -> Vec<FleetReport> {
 /// ingest, mobility and chaos on: a regional LTE outage and an XEdge
 /// node crash.
 fn quick_config(seed: u64) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, 1).with_ingest().with_mobility();
+    let mut cfg = FleetConfig::sized(64).with_ingest().with_mobility();
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(8);
     cfg.with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(3))
@@ -103,7 +102,7 @@ proptest! {
 /// fleet with two XEdge nodes (so node 0's crash leaves a live failover
 /// target for rung 2).
 fn edge_chaos_config(seed: u64) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, 1);
+    let mut cfg = FleetConfig::sized(64);
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(8);
     cfg.edge_nodes = 2;
@@ -192,7 +191,7 @@ proptest! {
 /// elastic lane scaling, saturating enough that the scaler really
 /// grows and shrinks the pool.
 fn elastic_mixed_config(seed: u64) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, 1).with_elastic_capacity();
+    let mut cfg = FleetConfig::sized(64).with_elastic_capacity();
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(8);
     cfg.request_period = SimDuration::from_millis(400);
@@ -227,7 +226,7 @@ proptest! {
 /// The ingestion pipeline on a healthy fleet: every vehicle batches
 /// telemetry through its regional collector into the storage tier.
 fn ingest_config(seed: u64) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, 1).with_ingest();
+    let mut cfg = FleetConfig::sized(64).with_ingest();
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(8);
     cfg
@@ -256,7 +255,7 @@ proptest! {
 /// storage brownout and a hard write-error window, with a storage tier
 /// sized tight enough that the brownout genuinely backs queues up.
 fn ingest_chaos_config(seed: u64) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, 1)
+    let mut cfg = FleetConfig::sized(64)
         .with_ingest()
         .with_collector_outage(0, SimTime::from_secs(1), SimDuration::from_secs(3))
         .with_storage_brownout(0.05, SimTime::from_secs(2), SimDuration::from_secs(4))
@@ -299,7 +298,7 @@ proptest! {
 /// batches, storm-multiplied handoff costs, per-region admission
 /// re-registration, and in-place region updates in the arena.
 fn mobility_config(seed: u64) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, 1)
+    let mut cfg = FleetConfig::sized(64)
         .with_ingest()
         .with_mobility()
         .with_handoff_storm(1, SimTime::from_secs(3), SimDuration::from_secs(3));
@@ -334,10 +333,9 @@ proptest! {
         prop_assert!(mob.migrations > 0, "no crossing changed home-node domain");
         prop_assert!(
             mob.partitions(),
-            "crossings ({}) != migrations ({}) + same-domain ({})",
-            mob.crossings,
+            "migrations ({}) exceed crossings ({})",
             mob.migrations,
-            mob.same_shard_crossings
+            mob.crossings
         );
     }
 }
@@ -347,7 +345,7 @@ proptest! {
 /// executor knobs are pure performance knobs: any (threads, chunk)
 /// point must replay the reference run byte-for-byte.
 fn steal_config(seed: u64, threads: u32, batch: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, 1)
+    let mut cfg = FleetConfig::sized(64)
         .with_ingest()
         .with_mobility()
         .with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(3))
@@ -362,10 +360,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
     fn executor_width_cannot_reach_any_report(seed in any::<u64>()) {
-        // Reference: single worker, so the tick phase is fully serial
-        // and no steal can ever happen. Wider executors (including
-        // "whatever the machine has") produce wall-clock-dependent
-        // steal schedules — none of which may reach the report.
+        // Reference: single worker, so the tick phase is fully serial.
+        // Wider executors (including "whatever the machine has") hand
+        // chunks to workers in a wall-clock-dependent order — none of
+        // which may reach the report.
         let hw = std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get) as u32;
         let base = FleetEngine::new(steal_config(seed, 1, 16)).run();
@@ -381,7 +379,7 @@ proptest! {
 
     #[test]
     fn batch_size_cannot_reach_any_report(seed in any::<u64>()) {
-        // Chunk size only regroups which vehicles share a deque slot:
+        // Chunk size only regroups which vehicles share a queue slot:
         // one vehicle per chunk, a prime that straddles every
         // power-of-two boundary, and the whole fleet in one chunk must
         // all match the derived default.
@@ -402,12 +400,11 @@ proptest! {
 fn full_scale_shard_invariance_smoke() {
     // The acceptance-criteria configuration at reduced duration: 1,000
     // vehicles, default tenants/regions. The serial engine (one worker,
-    // the whole fleet in one chunk, shard label 1) and the default
-    // executor (derived chunk size, shard label 8) are byte-identical.
-    let mut cfg = FleetConfig::sized(1000, 8);
+    // the whole fleet in one chunk) and the default executor (derived
+    // chunk size) are byte-identical.
+    let mut cfg = FleetConfig::sized(1000);
     cfg.duration = SimDuration::from_secs(5);
     let default = FleetEngine::new(cfg.clone()).run();
-    cfg.shards = 1;
     let serial = FleetEngine::new(cfg.with_executor_threads(1).with_batch_size(1000)).run();
     assert_eq!(serial.summary(), default.summary());
     assert_eq!(serial.metrics, default.metrics);

@@ -6,9 +6,8 @@
 //!    collab / failover / rejected / fallback counters.
 //! 2. **Executor invariance** — with telemetry enabled, the
 //!    deterministic summary is still byte-identical at every executor
-//!    width and chunk size, and the normalized span log and metrics
-//!    registry are identical too (the `shard` span attribute, a config
-//!    label, is the only field that may differ).
+//!    width and chunk size, and the span log and metrics registry are
+//!    identical too.
 
 mod common;
 
@@ -22,7 +21,7 @@ use vdap_sim::{SimDuration, SimTime};
 /// two-node deployment (retries, handoffs, fallbacks, skipped pBEAM
 /// rounds), and tight quotas under load (rejections).
 fn chaos_config(seed: u64) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, 1).with_telemetry();
+    let mut cfg = FleetConfig::sized(64).with_telemetry();
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(8);
     cfg.edge_nodes = 2;
@@ -91,14 +90,12 @@ proptest! {
         }
 
         // Telemetry must not cost determinism: summaries byte-identical,
-        // and the telemetry itself invariant modulo the shard attribute.
+        // and the telemetry itself invariant too.
         let base = reports[0].telemetry.as_ref().expect("telemetry enabled");
-        let base_spans: Vec<_> = base.spans.iter().map(|s| s.normalized()).collect();
         for r in &reports[1..] {
             prop_assert_eq!(reports[0].summary(), r.summary());
             let tel = r.telemetry.as_ref().expect("telemetry enabled");
-            let spans: Vec<_> = tel.spans.iter().map(|s| s.normalized()).collect();
-            prop_assert_eq!(&base_spans, &spans, "normalized span logs diverged");
+            prop_assert_eq!(&base.spans, &tel.spans, "span logs diverged");
             prop_assert_eq!(&base.registry, &tel.registry, "registries diverged");
         }
     }
@@ -110,7 +107,7 @@ proptest! {
 /// summary must stay byte-identical at every executor width and chunk
 /// size.
 fn sampled_config(seed: u64) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, 1)
+    let mut cfg = FleetConfig::sized(64)
         .with_ingest()
         .with_mobility()
         .with_telemetry_budget(16 * 1024)
@@ -129,13 +126,11 @@ proptest! {
             .map(|point| FleetEngine::new(point).run())
             .collect();
         let base = reports[0].telemetry.as_ref().expect("telemetry enabled");
-        let base_spans: Vec<_> = base.spans.iter().map(|s| s.normalized()).collect();
         for r in &reports[1..] {
             // Sampling and budget enforcement must not cost determinism.
             prop_assert_eq!(reports[0].summary(), r.summary());
             let tel = r.telemetry.as_ref().expect("telemetry enabled");
-            let spans: Vec<_> = tel.spans.iter().map(|s| s.normalized()).collect();
-            prop_assert_eq!(&base_spans, &spans, "sampled span sets diverged");
+            prop_assert_eq!(&base.spans, &tel.spans, "sampled span sets diverged");
             // Registry equality covers series, histograms, counters and
             // the telemetry_bytes gauge — all executor-invariant because
             // the byte estimate is count-based.
@@ -165,7 +160,7 @@ fn crossed_budget_auto_activates_deterministic_sampling() {
     // vehicles over 8 s produce: the engine's last resort is switching
     // OK-span sampling on retroactively.
     let run = |threads: u32, chunk: u32| {
-        let mut cfg = FleetConfig::sized(64, 1).with_telemetry_budget(4 * 1024);
+        let mut cfg = FleetConfig::sized(64).with_telemetry_budget(4 * 1024);
         cfg.seed = 7;
         cfg.duration = SimDuration::from_secs(8);
         FleetEngine::new(cfg.with_executor_threads(threads).with_batch_size(chunk)).run()
@@ -187,9 +182,7 @@ fn crossed_budget_auto_activates_deterministic_sampling() {
     // estimate, so the surviving set is still executor-invariant.
     assert_eq!(one.summary(), eight.summary());
     let tel8 = eight.telemetry.as_ref().expect("telemetry enabled");
-    let one_spans: Vec<_> = tel.spans.iter().map(|s| s.normalized()).collect();
-    let eight_spans: Vec<_> = tel8.spans.iter().map(|s| s.normalized()).collect();
-    assert_eq!(one_spans, eight_spans);
+    assert_eq!(tel.spans, tel8.spans);
     assert_eq!(tel.sampled_out, tel8.sampled_out);
     // Non-OK spans are never sampled out: every metrics-side failure
     // outcome still has its span.
@@ -209,7 +202,7 @@ fn span_spill_streams_every_span_to_parseable_segments() {
     let _ = std::fs::remove_dir_all(&dir);
     // No budget: with a spill dir configured, every barrier flushes —
     // pure streaming export, nothing retained in memory.
-    let mut cfg = FleetConfig::sized(64, 2).with_span_spill(&dir);
+    let mut cfg = FleetConfig::sized(64).with_span_spill(&dir);
     cfg.seed = 11;
     cfg.duration = SimDuration::from_secs(8);
     let report = FleetEngine::new(cfg).run();
@@ -244,7 +237,7 @@ fn span_spill_streams_every_span_to_parseable_segments() {
 #[test]
 fn telemetry_off_means_no_spans_and_an_unchanged_summary() {
     let with = |telemetry: bool| {
-        let mut cfg = FleetConfig::sized(64, 2);
+        let mut cfg = FleetConfig::sized(64);
         cfg.telemetry = telemetry;
         cfg.duration = SimDuration::from_secs(6);
         FleetEngine::new(cfg).run()
@@ -262,7 +255,7 @@ fn telemetry_off_means_no_spans_and_an_unchanged_summary() {
 
 #[test]
 fn epoch_series_cover_every_barrier() {
-    let mut cfg = FleetConfig::sized(64, 2).with_telemetry();
+    let mut cfg = FleetConfig::sized(64).with_telemetry();
     cfg.duration = SimDuration::from_secs(6);
     let epochs = cfg.duration.as_nanos().div_ceil(cfg.epoch.as_nanos());
     let report = FleetEngine::new(cfg).run();

@@ -26,7 +26,7 @@
 //! graph is built from one seeded stream, and positions advance in
 //! whole epoch windows — so the sequence of [`Crossing`]s is a pure
 //! function of `(seed, vehicle, epoch)` and never depends on how the
-//! fleet is sharded. Congestion is barrier-quantized the same way:
+//! fleet is split across executor workers. Congestion is barrier-quantized the same way:
 //! segment occupancy is sampled at the barrier and locks a traversal
 //! multiplier when a vehicle *enters* the segment.
 

@@ -5,25 +5,20 @@ use vdap_sim::StreamingHistogram;
 /// Mergeable mobility accounting, filled by the fleet engine's barrier
 /// mobility pass in canonical `(epoch, vehicle)` order.
 ///
-/// Every field is shard-count independent by construction: crossings
-/// are a pure function of each vehicle's seeded track, and `migrations`
-/// counts crossings whose destination region is homed on a *different
-/// XEdge node domain* than the source (`region % edge_nodes`) — the
-/// canonical placement function — rather than physical cross-thread
-/// moves, which depend on how many worker shards this particular run
-/// happened to use (those are diagnostics, see
-/// `FleetReport::diagnostics`). Hence the ledger invariant:
-/// `crossings == migrations + same_shard_crossings` holds at any shard
-/// count, with byte-identical values.
+/// Every field is executor-shape independent by construction:
+/// crossings are a pure function of each vehicle's seeded track, and
+/// `migrations` counts crossings whose destination region is homed on
+/// a *different XEdge node domain* than the source (`region %
+/// edge_nodes`) — the canonical placement function — rather than
+/// anything about which worker ran the vehicle. The remaining
+/// `crossings - migrations` stay inside one home-node domain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MobilityMetrics {
     /// Region-boundary crossings.
     pub crossings: u64,
-    /// Crossings that migrate the vehicle's shard-side state to a
-    /// different XEdge home-node domain.
+    /// Crossings that move the vehicle to a different XEdge home-node
+    /// domain.
     pub migrations: u64,
-    /// Crossings that stay inside the same home-node domain.
-    pub same_shard_crossings: u64,
     /// Crossings that landed while the destination's handoff label was
     /// storming (`RegionHandoffStorm` multiplied the handoff cost).
     pub storm_crossings: u64,
@@ -54,7 +49,6 @@ impl MobilityMetrics {
         MobilityMetrics {
             crossings: 0,
             migrations: 0,
-            same_shard_crossings: 0,
             storm_crossings: 0,
             stale_cache_hits: 0,
             readdressed_batches: 0,
@@ -66,12 +60,10 @@ impl MobilityMetrics {
 
     /// Merges another mobility ledger (associative and commutative for
     /// the integer fields; `handoff_seconds` is a float sum, so merge
-    /// order must be canonical — the engine only ever merges in
-    /// ascending shard order).
+    /// order must be canonical).
     pub fn merge(&mut self, other: &MobilityMetrics) {
         self.crossings += other.crossings;
         self.migrations += other.migrations;
-        self.same_shard_crossings += other.same_shard_crossings;
         self.storm_crossings += other.storm_crossings;
         self.stale_cache_hits += other.stale_cache_hits;
         self.readdressed_batches += other.readdressed_batches;
@@ -80,11 +72,12 @@ impl MobilityMetrics {
         self.crossing_speed_mph.merge(&other.crossing_speed_mph);
     }
 
-    /// The partition invariant the proptests pin: every crossing is
-    /// either a domain migration or a same-domain move.
+    /// The partition invariant the proptests pin: every migration is a
+    /// crossing, so the crossings split into domain migrations and
+    /// `crossings - migrations` same-domain moves.
     #[must_use]
     pub fn partitions(&self) -> bool {
-        self.crossings == self.migrations + self.same_shard_crossings
+        self.migrations <= self.crossings
     }
 }
 
@@ -97,13 +90,11 @@ mod tests {
         let mut a = MobilityMetrics::new();
         a.crossings = 5;
         a.migrations = 3;
-        a.same_shard_crossings = 2;
         a.handoff_seconds = 0.75;
         a.handoff_ms.record(250.0);
         let mut b = MobilityMetrics::new();
         b.crossings = 2;
         b.migrations = 1;
-        b.same_shard_crossings = 1;
         b.stale_cache_hits = 4;
         a.merge(&b);
         assert_eq!(a.crossings, 7);

@@ -4,8 +4,9 @@
 //! Perfetto: each request span becomes a `ph: "X"` complete event
 //! (timestamps in microseconds of sim time), each registry time series
 //! becomes a stream of `ph: "C"` counter events, and `ph: "M"` metadata
-//! events name the processes. Spans are grouped with `pid = shard + 1`
-//! and `tid = tenant`; counters live under `pid = 0`.
+//! events name the processes. Spans live under one `fleet-requests`
+//! process (`pid = 1`) with `tid = tenant`; counters live under
+//! `pid = 0`.
 //!
 //! Everything is built on the vendored `serde_json` shim, whose
 //! `BTreeMap`-backed objects serialize key-sorted — so the exported
@@ -29,6 +30,9 @@ fn object(pairs: Vec<(&str, Value)>) -> Value {
             .collect::<BTreeMap<String, Value>>(),
     )
 }
+
+/// The trace process every request span is grouped under.
+const SPANS_PID: u32 = 1;
 
 fn micros(nanos: u64) -> Value {
     Value::from(nanos / 1_000)
@@ -58,7 +62,7 @@ pub fn span_event(span: &RequestSpan) -> Value {
         ("ph", Value::from("X")),
         ("ts", micros(span.generated.as_nanos())),
         ("dur", micros(span.e2e().as_nanos())),
-        ("pid", Value::from(span.shard + 1)),
+        ("pid", Value::from(SPANS_PID)),
         ("tid", Value::from(span.tenant)),
         ("args", object(args)),
     ])
@@ -71,24 +75,12 @@ pub fn span_event(span: &RequestSpan) -> Value {
 pub fn chrome_trace(spans: &SpanLog, registry: &MetricsRegistry) -> Value {
     let mut events: Vec<Value> = Vec::with_capacity(spans.len() + 16);
 
-    let mut shards: Vec<u32> = spans.iter().map(|s| s.shard).collect();
-    shards.sort_unstable();
-    shards.dedup();
-    events.push(object(vec![
-        ("name", Value::from("process_name")),
-        ("ph", Value::from("M")),
-        ("pid", Value::from(0u32)),
-        ("args", object(vec![("name", Value::from("fleet-metrics"))])),
-    ]));
-    for shard in shards {
+    for (pid, name) in [(0u32, "fleet-metrics"), (SPANS_PID, "fleet-requests")] {
         events.push(object(vec![
             ("name", Value::from("process_name")),
             ("ph", Value::from("M")),
-            ("pid", Value::from(shard + 1)),
-            (
-                "args",
-                object(vec![("name", Value::from(format!("shard-{shard}")))]),
-            ),
+            ("pid", Value::from(pid)),
+            ("args", object(vec![("name", Value::from(name))])),
         ]));
     }
 
@@ -123,7 +115,6 @@ pub fn span_json(span: &RequestSpan) -> Value {
         ("seq", Value::from(span.seq)),
         ("tenant", Value::from(span.tenant)),
         ("region", Value::from(span.region)),
-        ("shard", Value::from(span.shard)),
         ("class", Value::from(span.class)),
         ("outcome", Value::from(span.outcome.label())),
         ("generated_ns", Value::from(span.generated.as_nanos())),
@@ -169,7 +160,6 @@ mod tests {
             seq: 2,
             tenant: 3,
             region: 1,
-            shard: 0,
             class: "detection",
             generated: SimTime::from_nanos(1_500_000),
             admitted: Some(SimTime::from_nanos(2_000_000)),
@@ -185,7 +175,6 @@ mod tests {
             seq: 0,
             tenant: 1,
             region: 4,
-            shard: 1,
             class: "pbeam-training",
             generated: SimTime::from_nanos(3_000_000),
             admitted: None,
@@ -226,16 +215,16 @@ mod tests {
             .get("traceEvents")
             .and_then(Value::as_array)
             .expect("traceEvents array");
-        // 2 spans + 2 counter points + 3 process_name records
-        // (metrics pid plus shards 0 and 1).
-        assert_eq!(events.len(), 7);
+        // 2 spans + 2 counter points + 2 process_name records
+        // (the metrics and the request processes).
+        assert_eq!(events.len(), 6);
         let phases: Vec<&str> = events
             .iter()
             .filter_map(|e| e.get("ph").and_then(Value::as_str))
             .collect();
         assert_eq!(phases.iter().filter(|p| **p == "X").count(), 2);
         assert_eq!(phases.iter().filter(|p| **p == "C").count(), 2);
-        assert_eq!(phases.iter().filter(|p| **p == "M").count(), 3);
+        assert_eq!(phases.iter().filter(|p| **p == "M").count(), 2);
         assert_eq!(
             doc.get("displayTimeUnit").and_then(Value::as_str),
             Some("ms")

@@ -5,7 +5,7 @@
 //! counters/gauges/per-epoch time series ([`MetricsRegistry`]), a
 //! Chrome trace-event JSON exporter ([`chrome_trace`], loadable in
 //! `about://tracing` and Perfetto), and a wall-clock barrier profiler
-//! for the sharded fleet engine ([`BarrierProfiler`]).
+//! for the fleet engine's parallel tick ([`BarrierProfiler`]).
 //!
 //! ## The determinism boundary
 //!
@@ -13,9 +13,9 @@
 //! series are derived from values the deterministic serving path
 //! already computes, sampled at epoch barriers or ordered by the
 //! canonical `(generated, vehicle, seq)` request key. Turning telemetry
-//! on therefore cannot perturb a run, and the N-shard vs 1-shard
-//! byte-identity invariant extends to the telemetry itself (modulo the
-//! explicit `shard` span attribute). The profiler is the one
+//! on therefore cannot perturb a run, and the byte-identity invariant
+//! across executor width and chunk size extends to the telemetry
+//! itself. The profiler is the one
 //! *wall-clock* component; it lives on the other side of the boundary
 //! and is only ever reported in a separate diagnostics block, never in
 //! a deterministic summary.
@@ -26,7 +26,7 @@
 //!
 //! let mut spans = SpanLog::new();
 //! spans.push(RequestSpan {
-//!     vehicle: 0, seq: 0, tenant: 0, region: 0, shard: 0,
+//!     vehicle: 0, seq: 0, tenant: 0, region: 0,
 //!     class: "detection",
 //!     generated: SimTime::ZERO,
 //!     admitted: None,

@@ -1,15 +1,14 @@
 //! Wall-clock barrier profiling for the fleet engine.
 //!
 //! The engine's epoch loop is a two-phase fork/join: the vehicle-tick
-//! phase fans stealable chunks of the vehicle arena out across a
-//! persistent work-stealing executor, then everything joins at a single-threaded
-//! barrier. The join means every epoch costs as much wall-clock as the
-//! executor's *slowest* worker — the other workers sit idle once their
-//! deques (and everyone else's) run dry. [`BarrierProfiler`] measures
-//! exactly that: per-worker busy time, per-worker barrier-idle time
-//! (`tick-phase wall - busy_w` per epoch), how many chunks each worker
-//! stole from a sibling's deque and how long it spent running stolen
-//! work, and the serial barrier time itself.
+//! phase hands chunks of the vehicle arena out to the executor's
+//! workers from one shared queue, then everything joins at a
+//! single-threaded barrier. The join means every epoch costs as much
+//! wall-clock as the executor's *slowest* worker — the others sit idle
+//! once the queue runs dry. [`BarrierProfiler`] measures exactly that:
+//! per-worker busy time, per-worker barrier-idle time (`tick-phase
+//! wall - busy_w` per epoch), how many chunks each worker ran beyond
+//! its even share, and the serial barrier time itself.
 //!
 //! Wall-clock readings are inherently nondeterministic, so this module
 //! is **excluded from the deterministic summary**: the engine reports
@@ -20,16 +19,15 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 /// One worker's measurements for a single tick-phase submission: time
-/// spent executing chunks, how many of those chunks were stolen from
-/// another worker's deque, and the time spent on the stolen ones.
+/// spent executing chunks, and how many chunks it ran beyond its even
+/// share of the submission.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerSample {
     /// Time the worker spent executing chunks this submission.
     pub busy: Duration,
-    /// Chunks this worker stole from a sibling's deque.
+    /// Chunks this worker ran beyond its even share (`chunks /
+    /// workers`): work it took over from slower siblings.
     pub steals: u64,
-    /// Time spent executing those stolen chunks.
-    pub stolen: Duration,
 }
 
 /// Accumulates per-epoch wall-clock measurements during a run.
@@ -38,7 +36,6 @@ pub struct BarrierProfiler {
     worker_busy: Vec<Duration>,
     worker_idle: Vec<Duration>,
     worker_steals: Vec<u64>,
-    worker_stolen: Vec<Duration>,
     barrier: Duration,
     epochs: u64,
 }
@@ -51,7 +48,6 @@ impl BarrierProfiler {
             worker_busy: vec![Duration::ZERO; workers],
             worker_idle: vec![Duration::ZERO; workers],
             worker_steals: vec![0; workers],
-            worker_stolen: vec![Duration::ZERO; workers],
             barrier: Duration::ZERO,
             epochs: 0,
         }
@@ -74,7 +70,6 @@ impl BarrierProfiler {
             self.worker_busy[w] += s.busy;
             self.worker_idle[w] += wall.saturating_sub(s.busy);
             self.worker_steals[w] += s.steals;
-            self.worker_stolen[w] += s.stolen;
         }
         self.epochs += 1;
     }
@@ -91,7 +86,6 @@ impl BarrierProfiler {
             worker_busy: self.worker_busy,
             worker_idle: self.worker_idle,
             worker_steals: self.worker_steals,
-            worker_stolen: self.worker_stolen,
             barrier: self.barrier,
             epochs: self.epochs,
         }
@@ -107,10 +101,9 @@ pub struct EngineProfile {
     /// Cumulative barrier-idle time per worker (`tick-phase wall -
     /// busy_w` summed over epochs).
     pub worker_idle: Vec<Duration>,
-    /// Chunks each worker stole from a sibling's deque.
+    /// Chunks each worker ran beyond its even share, summed over
+    /// epochs.
     pub worker_steals: Vec<u64>,
-    /// Time each worker spent executing stolen chunks.
-    pub worker_stolen: Vec<Duration>,
     /// Cumulative single-threaded barrier time.
     pub barrier: Duration,
     /// Epochs profiled.
@@ -146,39 +139,10 @@ impl EngineProfile {
         }
     }
 
-    /// Total chunks stolen across all workers.
+    /// Total chunks run beyond an even share, across all workers.
     #[must_use]
     pub fn total_steals(&self) -> u64 {
         self.worker_steals.iter().sum()
-    }
-
-    /// Fraction of a worker's busy time spent executing chunks stolen
-    /// from a sibling's deque (0 when the worker never ran — a
-    /// zero-duration run must not surface as NaN).
-    #[must_use]
-    pub fn steal_fraction(&self, worker: usize) -> f64 {
-        let busy = self.worker_busy[worker].as_secs_f64();
-        if busy == 0.0 {
-            0.0
-        } else {
-            self.worker_stolen[worker].as_secs_f64() / busy
-        }
-    }
-
-    /// Fraction of all busy time spent on stolen chunks, pooled across
-    /// workers (0 for an empty or zero-duration profile).
-    #[must_use]
-    pub fn mean_steal_fraction(&self) -> f64 {
-        let busy: f64 = self.worker_busy.iter().map(Duration::as_secs_f64).sum();
-        if busy == 0.0 {
-            0.0
-        } else {
-            self.worker_stolen
-                .iter()
-                .map(Duration::as_secs_f64)
-                .sum::<f64>()
-                / busy
-        }
     }
 
     /// Mean single-threaded barrier time per epoch, in milliseconds
@@ -198,23 +162,21 @@ impl EngineProfile {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "profile: epochs={} barrier_ms={:.3} mean_barrier_ms={:.3} steals={} mean_idle_frac={:.3} mean_steal_frac={:.3}",
+            "profile: epochs={} barrier_ms={:.3} mean_barrier_ms={:.3} steals={} mean_idle_frac={:.3}",
             self.epochs,
             self.barrier.as_secs_f64() * 1e3,
             self.mean_barrier_ms(),
             self.total_steals(),
-            self.mean_idle_fraction(),
-            self.mean_steal_fraction()
+            self.mean_idle_fraction()
         );
         for (w, (busy, idle)) in self.worker_busy.iter().zip(&self.worker_idle).enumerate() {
             let _ = writeln!(
                 out,
-                "worker[{w}]: busy_ms={:.3} barrier_idle_ms={:.3} idle_frac={:.3} steals={} stolen_ms={:.3}",
+                "worker[{w}]: busy_ms={:.3} barrier_idle_ms={:.3} idle_frac={:.3} steals={}",
                 busy.as_secs_f64() * 1e3,
                 idle.as_secs_f64() * 1e3,
                 self.idle_fraction(w),
-                self.worker_steals[w],
-                self.worker_stolen[w].as_secs_f64() * 1e3
+                self.worker_steals[w]
             );
         }
         out
@@ -225,11 +187,10 @@ impl EngineProfile {
 mod tests {
     use super::*;
 
-    fn sample(busy_ms: u64, steals: u64, stolen_ms: u64) -> WorkerSample {
+    fn sample(busy_ms: u64, steals: u64) -> WorkerSample {
         WorkerSample {
             busy: Duration::from_millis(busy_ms),
             steals,
-            stolen: Duration::from_millis(stolen_ms),
         }
     }
 
@@ -238,11 +199,11 @@ mod tests {
         let mut p = BarrierProfiler::new(3);
         p.record_epoch(
             Duration::from_millis(10),
-            &[sample(10, 0, 0), sample(4, 1, 2), sample(7, 0, 0)],
+            &[sample(10, 0), sample(4, 1), sample(7, 0)],
         );
         p.record_epoch(
             Duration::from_millis(8),
-            &[sample(2, 0, 0), sample(8, 2, 3), sample(8, 0, 0)],
+            &[sample(2, 0), sample(8, 2), sample(8, 0)],
         );
         p.record_barrier(Duration::from_millis(3));
         let profile = p.finish();
@@ -254,18 +215,15 @@ mod tests {
         assert_eq!(profile.worker_idle[2], Duration::from_millis(3));
         assert_eq!(profile.worker_steals, vec![0, 3, 0]);
         assert_eq!(profile.total_steals(), 3);
-        assert_eq!(profile.worker_stolen[1], Duration::from_millis(5));
         assert_eq!(profile.barrier, Duration::from_millis(3));
+        assert!((profile.mean_barrier_ms() - 1.5).abs() < 1e-9);
     }
 
     #[test]
     fn mean_idle_fraction_pools_all_workers() {
         let mut p = BarrierProfiler::new(2);
         // Wall 10: worker 0 busy 10 (idle 0), worker 1 busy 5 (idle 5).
-        p.record_epoch(
-            Duration::from_millis(10),
-            &[sample(10, 0, 0), sample(5, 0, 0)],
-        );
+        p.record_epoch(Duration::from_millis(10), &[sample(10, 0), sample(5, 0)]);
         let profile = p.finish();
         let expect = 5.0 / 20.0;
         assert!((profile.mean_idle_fraction() - expect).abs() < 1e-9);
@@ -274,21 +232,15 @@ mod tests {
     #[test]
     fn render_names_every_worker() {
         let mut p = BarrierProfiler::new(2);
-        p.record_epoch(
-            Duration::from_millis(5),
-            &[sample(5, 0, 0), sample(5, 1, 1)],
-        );
+        p.record_epoch(Duration::from_millis(5), &[sample(5, 0), sample(5, 1)]);
         let text = p.finish().render();
         assert!(text.contains("profile: epochs=1"));
         assert!(text.contains("mean_idle_frac="));
         assert!(text.contains("worker[0]:"));
         assert!(text.contains("worker[1]:"));
-        assert!(
-            !text.contains("shard["),
-            "the profile has no per-shard rows"
-        );
+        assert!(text.contains("mean_barrier_ms="));
         assert!(text.contains("barrier_idle_ms="));
-        assert!(text.contains("stolen_ms="));
+        assert!(text.contains("steals=1"));
     }
 
     #[test]
@@ -306,8 +258,6 @@ mod tests {
         for accessor in [
             empty.idle_fraction(0),
             empty.mean_idle_fraction(),
-            empty.steal_fraction(1),
-            empty.mean_steal_fraction(),
             empty.mean_barrier_ms(),
         ] {
             assert_eq!(accessor, 0.0, "empty profile must read 0.0, not NaN");
@@ -315,15 +265,13 @@ mod tests {
         // Ran, but every measured duration was zero (instant epochs on
         // a coarse clock) — busy + idle == 0 per worker.
         let mut p = BarrierProfiler::new(2);
-        p.record_epoch(Duration::ZERO, &[sample(0, 0, 0), sample(0, 0, 0)]);
+        p.record_epoch(Duration::ZERO, &[sample(0, 0), sample(0, 0)]);
         p.record_barrier(Duration::ZERO);
         let zero = p.finish();
         assert_eq!(zero.epochs, 1);
         for accessor in [
             zero.idle_fraction(0),
             zero.mean_idle_fraction(),
-            zero.steal_fraction(0),
-            zero.mean_steal_fraction(),
             zero.mean_barrier_ms(),
         ] {
             assert!(
@@ -332,24 +280,5 @@ mod tests {
             );
         }
         assert!(zero.render().contains("mean_idle_frac=0.000"));
-    }
-
-    #[test]
-    fn steal_fractions_attribute_stolen_time() {
-        let mut p = BarrierProfiler::new(2);
-        // Worker 1: 8ms busy of which 2ms on stolen chunks.
-        p.record_epoch(
-            Duration::from_millis(10),
-            &[sample(10, 0, 0), sample(8, 1, 2)],
-        );
-        p.record_barrier(Duration::from_millis(4));
-        let profile = p.finish();
-        assert!((profile.steal_fraction(1) - 0.25).abs() < 1e-9);
-        assert_eq!(profile.steal_fraction(0), 0.0);
-        assert!((profile.mean_steal_fraction() - 2.0 / 18.0).abs() < 1e-9);
-        assert!((profile.mean_barrier_ms() - 4.0).abs() < 1e-9);
-        let text = profile.render();
-        assert!(text.contains("mean_barrier_ms="));
-        assert!(text.contains("mean_steal_frac="));
     }
 }

@@ -47,8 +47,8 @@ pub struct SeriesPoint {
 
 /// Bytes one `BTreeMap` entry is accounted as (key pointer + node
 /// overhead), used by [`MetricsRegistry::approx_bytes`]. The estimate
-/// is count-based on purpose: it must be identical across shard counts
-/// so budget decisions derived from it stay deterministic.
+/// is count-based on purpose: it must be identical across executor
+/// shapes so budget decisions derived from it stay deterministic.
 const MAP_ENTRY_BYTES: u64 = 32;
 
 /// Named counters, gauges, epoch-sampled time series, and streaming
@@ -172,7 +172,7 @@ impl MetricsRegistry {
     }
 
     /// Approximate resident bytes of the registry, computed purely from
-    /// entry counts (shard-count invariant — see [`MAP_ENTRY_BYTES`]).
+    /// entry counts (executor-shape invariant — see [`MAP_ENTRY_BYTES`]).
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
         let scalars = (self.counters.len() + self.gauges.len()) as u64 * (MAP_ENTRY_BYTES + 8);

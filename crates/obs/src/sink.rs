@@ -15,9 +15,9 @@
 //!   non-OK-path span (rejected / degraded / failed) is kept, OK spans
 //!   (edge-served, collab hits) are kept one-in-N by a seeded hash of
 //!   `(vehicle, seq)`. The hash reads nothing about the run's
-//!   partitioning, so the kept set is **shard-count- and
-//!   executor-width-free** — an N-shard run samples exactly the same
-//!   spans as a 1-shard run of the same seed.
+//!   executor, so the kept set is **executor-shape-free**: a run at
+//!   any executor width or chunk size samples exactly the same spans
+//!   as a serial run of the same seed.
 //!
 //! Disk I/O is wall-clock territory: write failures are counted
 //! (`io_errors`), never panicked on, and nothing about *what* was
@@ -42,9 +42,9 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
 ///
 /// A span is kept when the seeded [splitmix64] finalizer of
 /// `seed ^ (vehicle << 32 | seq)` is `0 (mod keep_one_in)`. The inputs
-/// are request identity only — no shard, worker, batch, or insertion
-/// order — which is exactly why the sampled set survives any
-/// re-partitioning of the fleet. `keep_one_in <= 1` keeps everything.
+/// are request identity only — no worker, chunk, or insertion order —
+/// which is exactly why the sampled set survives any re-partitioning
+/// of the fleet. `keep_one_in <= 1` keeps everything.
 ///
 /// [splitmix64]: https://prng.di.unimi.it/splitmix64.c
 #[must_use]
@@ -351,7 +351,6 @@ mod tests {
             seq,
             tenant: vehicle % 4,
             region: 0,
-            shard: vehicle % 3,
             class: "detection",
             generated: SimTime::from_nanos(at),
             admitted: None,
@@ -420,7 +419,7 @@ mod tests {
             })
             .collect();
         // One sink sees everything in order; four sinks see an
-        // interleaved partition (as shards would).
+        // interleaved partition (as executor chunks would).
         let mut whole = SamplingSpanSink::new(42, 4);
         for s in &spans {
             whole.accept(s.clone());

@@ -5,11 +5,9 @@
 //! the engine already computed on the deterministic serving path
 //! (request arrival, the epoch barrier that admitted it, the lane start
 //! instant, the completion instant). Spans therefore inherit the
-//! platform's shard-count invariance — the only field that depends on
-//! how the fleet was partitioned is the explicit `shard` attribute,
-//! which exists precisely so traces can show which worker ran the
-//! vehicle. Comparisons across shard counts must normalize it away
-//! (see [`RequestSpan::normalized`]).
+//! platform's executor-shape invariance: no field depends on which
+//! worker ran the vehicle, so spans from runs at any executor width or
+//! chunk size compare equal directly.
 
 use vdap_sim::{SimDuration, SimTime};
 
@@ -108,9 +106,6 @@ pub struct RequestSpan {
     pub tenant: u32,
     /// LTE region the vehicle was driving in.
     pub region: u32,
-    /// Worker shard that executed the vehicle (the one attribute that
-    /// depends on the run's shard count).
-    pub shard: u32,
     /// Workload-class label (interned).
     pub class: &'static str,
     /// When the vehicle issued the request.
@@ -140,21 +135,10 @@ impl RequestSpan {
     }
 
     /// The canonical sort key: `(generated, vehicle, seq)` — unique per
-    /// request, so sorting by it is total and shard-count invariant.
+    /// request, so sorting by it is total and executor-shape invariant.
     #[must_use]
     pub fn key(&self) -> (SimTime, u32, u32) {
         (self.generated, self.vehicle, self.seq)
-    }
-
-    /// A copy with the shard attribute zeroed — what cross-shard-count
-    /// equality tests compare, since the shard a vehicle lands on is
-    /// the one field re-partitioning legitimately changes.
-    #[must_use]
-    pub fn normalized(&self) -> RequestSpan {
-        RequestSpan {
-            shard: 0,
-            ..self.clone()
-        }
     }
 }
 
@@ -201,7 +185,7 @@ impl SpanLog {
 
     /// Sorts the log into canonical `(generated, vehicle, seq)` order.
     /// The key is unique per request, so the result is independent of
-    /// insertion order — and therefore of shard count.
+    /// insertion order — and therefore of executor shape.
     pub fn sort_canonical(&mut self) {
         self.spans.sort_unstable_by_key(RequestSpan::key);
     }
@@ -290,7 +274,6 @@ mod tests {
             seq,
             tenant: vehicle % 4,
             region: 0,
-            shard: vehicle % 2,
             class: "detection",
             generated: SimTime::from_nanos(at),
             admitted: None,
@@ -423,14 +406,5 @@ mod tests {
         let total: u64 = SpanOutcome::ALL.iter().map(|&o| log.outcome_count(o)).sum();
         assert_eq!(total, log.len() as u64);
         assert_eq!(log.outcome_count(SpanOutcome::EdgeServed), 2);
-    }
-
-    #[test]
-    fn normalization_erases_only_the_shard() {
-        let s = span(5, 3, 10, SpanOutcome::EdgeServed);
-        let n = s.normalized();
-        assert_eq!(n.shard, 0);
-        assert_eq!(n.vehicle, s.vehicle);
-        assert_eq!(n.e2e(), s.e2e());
     }
 }

@@ -34,7 +34,6 @@ fn span_with_class(i: u32, class: &'static str) -> RequestSpan {
         seq: 0,
         tenant: i % 3,
         region: 0,
-        shard: i % 2,
         class,
         generated: SimTime::from_nanos(u64::from(i) * 1_000),
         admitted: Some(SimTime::from_nanos(u64::from(i) * 1_000 + 250)),

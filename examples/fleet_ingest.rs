@@ -4,14 +4,15 @@
 //! brownout land mid-run. Overflow backpressure walks the ingestion
 //! degradation ladder — seeded-backoff retry, defer into the vehicle's
 //! local TTL cache, shed lowest-priority — and every decision is
-//! sampled only at epoch barriers, so the run finishes with a
-//! single-shard rerun that matches the sharded summary byte for byte.
+//! sampled only at epoch barriers, so the run finishes with a serial
+//! rerun (one worker, the whole fleet in one chunk) that matches the
+//! parallel summary byte for byte.
 //!
 //! ```text
 //! cargo run --release --example fleet_ingest
 //! ```
 
-use vdap_fleet::{FleetConfig, FleetEngine, IngestConfig, WorkerPool};
+use vdap_fleet::{FleetConfig, FleetEngine, IngestConfig};
 use vdap_sim::{SimDuration, SimTime};
 
 fn main() {
@@ -20,10 +21,7 @@ fn main() {
     // 1.25x the offered record rate, each regional collector queue
     // three epochs of its arrivals.
     let mut ing = IngestConfig::default();
-    // At least two shards even on a single-core box, so the closing
-    // byte-identity assertion actually crosses a shard boundary.
-    let shards = (WorkerPool::with_default_size().threads() as u32).max(2);
-    let mut cfg = FleetConfig::sized(vehicles, shards);
+    let mut cfg = FleetConfig::sized(vehicles);
     let offered =
         f64::from(vehicles) * f64::from(ing.records_per_batch) / ing.upload_period.as_secs_f64();
     ing.storage_records_per_sec = offered * 1.25;
@@ -32,13 +30,13 @@ fn main() {
         (3.0 * per_region_epoch) as u64 + u64::from(ing.records_per_batch);
     cfg.seed = 42;
     cfg.duration = SimDuration::from_secs(24);
-    let mut cfg = cfg
+    let cfg = cfg
         .with_ingest_config(ing)
         .with_collector_outage(0, SimTime::from_secs(4), SimDuration::from_secs(3))
         .with_storage_brownout(0.4, SimTime::from_secs(8), SimDuration::from_secs(4));
 
     println!(
-        "{vehicles} vehicles, {} regions, {shards} shards; offered {offered:.0} records/s",
+        "{vehicles} vehicles, {} regions; offered {offered:.0} records/s",
         cfg.regions
     );
     println!("fault plan: region-0 collector down 4s-7s, storage brownout (x0.4) 8s-12s");
@@ -90,15 +88,14 @@ fn main() {
     );
 
     // Determinism contract: collectors, storage drain, and the ladder
-    // all live on the barrier clock, so one shard reproduces the
-    // sharded run byte for byte.
-    cfg.shards = 1;
-    let single = FleetEngine::new(cfg).run();
+    // all live on the barrier clock, so the serial engine reproduces
+    // the parallel run byte for byte.
+    let serial = FleetEngine::new(cfg.with_executor_threads(1).with_batch_size(vehicles)).run();
     assert_eq!(
-        single.summary(),
+        serial.summary(),
         report.summary(),
-        "1-shard and {shards}-shard summaries must be byte-identical"
+        "serial and default-executor summaries must be byte-identical"
     );
     println!();
-    println!("determinism: 1-shard rerun matches the {shards}-shard summary byte for byte");
+    println!("determinism: serial rerun matches the default-executor summary byte for byte");
 }

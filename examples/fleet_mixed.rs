@@ -3,15 +3,16 @@
 //! (detection offload, infotainment streaming, pBEAM training rounds),
 //! then 1,024 vehicles drive the weighted class mix against a shared
 //! XEdge deployment whose lane pool grows and shrinks with observed
-//! queue depth. Finishes with a single-shard rerun to demonstrate that
-//! elasticity costs nothing in determinism.
+//! queue depth. Finishes with a serial rerun (one worker, the whole
+//! fleet in one chunk) to demonstrate that elasticity costs nothing in
+//! determinism.
 //!
 //! ```text
 //! cargo run --release --example fleet_mixed
 //! ```
 
 use openvdap::apps;
-use vdap_fleet::{FleetConfig, FleetEngine, WorkerPool, WorkloadClass};
+use vdap_fleet::{FleetConfig, FleetEngine, WorkloadClass};
 use vdap_sim::SimDuration;
 
 fn main() {
@@ -23,8 +24,7 @@ fn main() {
         println!("  {:>24} -> {}", svc.name(), apps::workload_class_of(&svc));
     }
 
-    let shards = WorkerPool::with_default_size().threads() as u32;
-    let mut cfg = FleetConfig::sized(1024, shards).with_elastic_capacity();
+    let mut cfg = FleetConfig::sized(1024).with_elastic_capacity();
     cfg.seed = 42;
     cfg.duration = SimDuration::from_secs(60);
     cfg.request_period = SimDuration::from_millis(500);
@@ -64,15 +64,14 @@ fn main() {
     );
 
     // Determinism contract: elastic decisions are sampled only at
-    // epoch barriers, so the same seed on one shard reproduces the
-    // sharded run's aggregate metrics byte for byte.
-    cfg.shards = 1;
-    let single = FleetEngine::new(cfg).run();
+    // epoch barriers, so the same seed on the serial engine reproduces
+    // the parallel run's aggregate metrics byte for byte.
+    let serial = FleetEngine::new(cfg.with_executor_threads(1).with_batch_size(1024)).run();
     assert_eq!(
-        single.summary(),
+        serial.summary(),
         report.summary(),
-        "1-shard and {shards}-shard summaries must be byte-identical"
+        "serial and default-executor summaries must be byte-identical"
     );
     println!();
-    println!("determinism: 1-shard rerun matches the {shards}-shard summary byte for byte");
+    println!("determinism: serial rerun matches the default-executor summary byte for byte");
 }

@@ -21,7 +21,7 @@ use vdap_sim::SimDuration;
 fn main() {
     let vehicles = 10_000;
     let threads = WorkerPool::with_default_size().threads();
-    let mut cfg = FleetConfig::sized(vehicles, 1);
+    let mut cfg = FleetConfig::sized(vehicles);
     cfg.seed = 42;
     cfg.duration = SimDuration::from_secs(24);
     let mobility = MobilityConfig::rush_hour();
@@ -40,7 +40,9 @@ fn main() {
 
     println!(
         "crossings {:>6}  ({} domain migrations + {} same-domain moves)",
-        mob.crossings, mob.migrations, mob.same_shard_crossings
+        mob.crossings,
+        mob.migrations,
+        mob.crossings - mob.migrations
     );
     println!(
         "handoffs  {:>6.0} s total, p95 {:.0} ms, crossing speed mean {:.1} mph",
@@ -73,10 +75,7 @@ fn main() {
         );
     }
     assert_eq!(report.reliability.faults_injected(), 0, "storm is organic");
-    assert!(
-        mob.partitions(),
-        "every crossing is a domain migration or a same-domain move"
-    );
+    assert!(mob.partitions(), "every migration is a crossing");
 
     // Determinism contract: routes advance only at barriers in vehicle
     // order and a crossing updates the vehicle in place, so a serial

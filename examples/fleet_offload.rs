@@ -1,20 +1,20 @@
-//! Fleet-scale offloading study on the sharded fleet engine: 1,200
-//! vehicles stream detection work to the shared multi-tenant XEdge
-//! deployment for 90 simulated seconds, under three levels of edge
-//! load, with a regional LTE outage thrown in. Finishes by re-running
-//! the heaviest point on a single shard to demonstrate the engine's
-//! byte-identical determinism contract.
+//! Fleet-scale offloading study on the fleet engine: 1,200 vehicles
+//! stream detection work to the shared multi-tenant XEdge deployment
+//! for 90 simulated seconds, under three levels of edge load, with a
+//! regional LTE outage thrown in. Finishes by re-running the heaviest
+//! point on the serial engine (one worker, the whole fleet in one
+//! chunk) to demonstrate the engine's byte-identical determinism
+//! contract.
 //!
 //! ```text
 //! cargo run --release --example fleet_offload
 //! ```
 
 use openvdap::scenario::{sweep, ScenarioConfig};
-use vdap_fleet::{FleetEngine, WorkerPool};
+use vdap_fleet::FleetEngine;
 use vdap_sim::{SimDuration, SimTime};
 
 fn main() {
-    let shards = WorkerPool::with_default_size().threads() as u32;
     let scenario = ScenarioConfig {
         seed: 42,
         vehicles: 1200,
@@ -32,7 +32,7 @@ fn main() {
             edge_load,
             ..base.clone()
         }
-        .fleet(shards)
+        .fleet()
         .with_regional_outage(0, SimTime::from_secs(30), SimDuration::from_secs(15));
         (edge_load, FleetEngine::new(cfg).run())
     });
@@ -56,27 +56,25 @@ fn main() {
 
     let (_, heaviest) = results.last().expect("three load points");
     println!();
-    println!("heaviest point (shards={}):", heaviest.shards);
+    println!("heaviest point:");
     print!("{}", heaviest.summary());
 
-    // Determinism contract: the same seed on a single shard reproduces
-    // the sharded run's aggregate metrics byte for byte.
-    let single_cfg = ScenarioConfig {
+    // Determinism contract: the same seed on the serial engine
+    // reproduces the parallel run's aggregate metrics byte for byte.
+    let serial_cfg = ScenarioConfig {
         edge_load: loads[2],
         ..scenario
     }
-    .fleet(1)
-    .with_regional_outage(0, SimTime::from_secs(30), SimDuration::from_secs(15));
-    let single = FleetEngine::new(single_cfg).run();
+    .fleet()
+    .with_regional_outage(0, SimTime::from_secs(30), SimDuration::from_secs(15))
+    .with_executor_threads(1)
+    .with_batch_size(1200);
+    let serial = FleetEngine::new(serial_cfg).run();
     assert_eq!(
-        single.summary(),
+        serial.summary(),
         heaviest.summary(),
-        "1-shard and {}-shard summaries must be byte-identical",
-        heaviest.shards
+        "serial and default-executor summaries must be byte-identical"
     );
     println!();
-    println!(
-        "determinism: 1-shard rerun matches the {}-shard summary byte for byte",
-        heaviest.shards
-    );
+    println!("determinism: serial rerun matches the default-executor summary byte for byte");
 }
