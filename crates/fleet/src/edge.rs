@@ -517,18 +517,13 @@ impl XEdgeServer {
                 // Fresh crash at this barrier: in-flight work on the
                 // node's lanes is lost and must be re-queued; the lane
                 // pool restarts cold on recovery.
-                let mut kept = Vec::with_capacity(self.in_flight.len());
-                for inf in self.in_flight.drain(..) {
-                    if inf.node == node && inf.finish > barrier {
-                        let mut req = inf.req;
-                        req.attempts += 1;
-                        requeued += 1;
-                        self.requeued.push(req);
-                    } else {
-                        kept.push(inf);
-                    }
+                let lost = |inf: &mut InFlight| inf.node == node && inf.finish > barrier;
+                for inf in self.in_flight.extract_if(.., lost) {
+                    let mut req = inf.req;
+                    req.attempts += 1;
+                    requeued += 1;
+                    self.requeued.push(req);
                 }
-                self.in_flight = kept;
                 for lane in self.lanes.iter_mut().filter(|l| l.node == node) {
                     lane.free = barrier;
                 }
@@ -547,16 +542,11 @@ impl XEdgeServer {
     }
 
     /// Pops completions (`finish <= barrier`) into `outcome.served`.
+    /// Extracts in place, so the survivors keep their order and the
+    /// vector keeps its allocation.
     fn emit_completions(&mut self, barrier: SimTime, outcome: &mut EpochOutcome) {
-        let mut kept = Vec::with_capacity(self.in_flight.len());
-        for inf in self.in_flight.drain(..) {
-            if inf.finish <= barrier {
-                outcome.served.push(inf.served);
-            } else {
-                kept.push(inf);
-            }
-        }
-        self.in_flight = kept;
+        let done = self.in_flight.extract_if(.., |inf| inf.finish <= barrier);
+        outcome.served.extend(done.map(|inf| inf.served));
     }
 
     /// Syncs per-tenant admission caps with the quota-flap state at

@@ -31,8 +31,6 @@
 //! plain integer or a [`StreamingHistogram`], so the pass preserves the
 //! byte-identity contract across executor widths and chunk sizes.
 
-use std::collections::BTreeMap;
-
 use vdap_ddi::{RegionCollector, StorageTierModel, UploadBatch};
 use vdap_fault::{FaultInjector, RetryPolicy};
 use vdap_net::{Direction, LinkSpec};
@@ -164,6 +162,19 @@ struct Cached {
     batch: UploadBatch,
 }
 
+/// One vehicle's in-flight ingest: its rung-1 retries, its rung-2 TTL
+/// cache and that cache's per-tier occupancy. A crossing re-addresses
+/// only these batches, and the shed-victim search looks only here.
+#[derive(Debug, Default)]
+struct VehicleIngest {
+    pending: Vec<Pending>,
+    cached: Vec<Cached>,
+    /// Records occupying the mem-tier cache.
+    mem_used: u64,
+    /// Records occupying the disk-tier cache.
+    disk_used: u64,
+}
+
 /// One batch offered to a collector this barrier.
 struct Offer {
     attempts: u32,
@@ -182,12 +193,8 @@ pub(crate) struct IngestPass {
     contention: ContentionModel,
     policy: RetryPolicy,
     rng: RngStream,
-    pending: Vec<Pending>,
-    cached: Vec<Cached>,
-    /// Records occupying each vehicle's mem-tier cache.
-    mem_used: BTreeMap<u64, u64>,
-    /// Records occupying each vehicle's disk-tier cache.
-    disk_used: BTreeMap<u64, u64>,
+    /// In-flight ingest indexed by vehicle id.
+    vehicles: Vec<VehicleIngest>,
     pub metrics: IngestMetrics,
 }
 
@@ -213,10 +220,9 @@ impl IngestPass {
             contention: ContentionModel::new(per_epoch.max(1)),
             policy,
             rng: seeds.stream("fleet-ingest"),
-            pending: Vec::new(),
-            cached: Vec::new(),
-            mem_used: BTreeMap::new(),
-            disk_used: BTreeMap::new(),
+            vehicles: (0..cfg.vehicles)
+                .map(|_| VehicleIngest::default())
+                .collect(),
             metrics: IngestMetrics::new(),
             ing,
         }
@@ -228,18 +234,13 @@ impl IngestPass {
     /// engine's mobility pass in canonical vehicle order, so the
     /// re-addressing is executor-shape invariant.
     pub fn readdress(&mut self, vehicle: u64, region: u32) -> u64 {
-        let mut moved = 0u64;
-        for p in self.pending.iter_mut() {
-            if p.batch.vehicle == vehicle && p.batch.readdress(region) {
-                moved += 1;
-            }
-        }
-        for c in self.cached.iter_mut() {
-            if c.batch.vehicle == vehicle && c.batch.readdress(region) {
-                moved += 1;
-            }
-        }
-        moved
+        let slot = &mut self.vehicles[vehicle as usize];
+        let pending = slot.pending.iter_mut().map(|p| &mut p.batch);
+        let cached = slot.cached.iter_mut().map(|c| &mut c.batch);
+        pending
+            .chain(cached)
+            .map(|batch| u64::from(batch.readdress(region)))
+            .sum()
     }
 
     /// Runs one barrier's ingest pass over the freshly drained batches.
@@ -268,43 +269,36 @@ impl IngestPass {
             })
             .collect();
 
-        // Wake rung-1 retries whose backoff has elapsed.
-        let mut still_pending = Vec::new();
-        for p in self.pending.drain(..) {
-            if p.due <= end {
+        for slot in &mut self.vehicles {
+            // Wake rung-1 retries whose backoff has elapsed.
+            for p in slot.pending.extract_if(.., |p| p.due <= end) {
                 offers.push(Offer {
                     attempts: p.attempts,
                     expires: p.expires,
                     batch: p.batch,
                 });
-            } else {
-                still_pending.push(p);
             }
-        }
-        self.pending = still_pending;
-
-        // Vehicle caches: TTL-evict what expired (the records never
-        // reach storage — a terminal deadline miss), re-offer the rest.
-        for c in std::mem::take(&mut self.cached) {
-            let records = u64::from(c.batch.records);
-            let used = if c.disk {
-                &mut self.disk_used
-            } else {
-                &mut self.mem_used
-            };
-            if let Some(u) = used.get_mut(&c.batch.vehicle) {
-                *u = u.saturating_sub(records);
-            }
-            if c.expires <= end {
-                self.metrics.cache_evictions += records;
-                self.metrics.deadline_misses += 1;
-                reliability.record_cache_ttl_evictions(records);
-            } else {
-                offers.push(Offer {
-                    attempts: c.attempts,
-                    expires: Some(c.expires),
-                    batch: c.batch,
-                });
+            // Vehicle cache: TTL-evict what expired (the records never
+            // reach storage — a terminal deadline miss), re-offer the rest.
+            for c in slot.cached.drain(..) {
+                let records = u64::from(c.batch.records);
+                let used = if c.disk {
+                    &mut slot.disk_used
+                } else {
+                    &mut slot.mem_used
+                };
+                *used = used.saturating_sub(records);
+                if c.expires <= end {
+                    self.metrics.cache_evictions += records;
+                    self.metrics.deadline_misses += 1;
+                    reliability.record_cache_ttl_evictions(records);
+                } else {
+                    offers.push(Offer {
+                        attempts: c.attempts,
+                        expires: Some(c.expires),
+                        batch: c.batch,
+                    });
+                }
             }
         }
 
@@ -417,13 +411,14 @@ impl IngestPass {
     /// shed lowest-priority.
     fn ladder(&mut self, offer: Offer, end: SimTime, reliability: &mut ReliabilityStats) {
         let attempts = offer.attempts + 1;
+        let slot = &mut self.vehicles[offer.batch.vehicle as usize];
         // Rung 1: retry while the attempt budget and the deadline allow.
         if attempts < self.ing.max_upload_attempts {
             let delay = self.policy.backoff_delay(attempts + 1, &mut self.rng);
             let due = end + delay;
             if due <= offer.batch.deadline {
                 self.metrics.retries += 1;
-                self.pending.push(Pending {
+                slot.pending.push(Pending {
                     due,
                     attempts,
                     expires: offer.expires,
@@ -434,14 +429,12 @@ impl IngestPass {
         }
         // Rung 2: defer into the vehicle's local TTL cache. The expiry
         // is fixed at first deferral so re-offers cannot refresh it.
-        let vehicle = offer.batch.vehicle;
         let records = u64::from(offer.batch.records);
         let expires = offer.expires.unwrap_or(end + self.ing.cache_ttl);
-        let mem = self.mem_used.entry(vehicle).or_insert(0);
-        if *mem + records <= self.ing.cache_mem_records {
-            *mem += records;
+        if slot.mem_used + records <= self.ing.cache_mem_records {
+            slot.mem_used += records;
             self.metrics.deferrals += 1;
-            self.cached.push(Cached {
+            slot.cached.push(Cached {
                 expires,
                 attempts,
                 disk: false,
@@ -449,13 +442,12 @@ impl IngestPass {
             });
             return;
         }
-        let disk = self.disk_used.entry(vehicle).or_insert(0);
-        if *disk + records <= self.ing.cache_disk_records {
-            *disk += records;
+        if slot.disk_used + records <= self.ing.cache_disk_records {
+            slot.disk_used += records;
             self.metrics.deferrals += 1;
             self.metrics.disk_spills += 1;
             reliability.record_disk_spills(records);
-            self.cached.push(Cached {
+            slot.cached.push(Cached {
                 expires,
                 attempts,
                 disk: true,
@@ -466,38 +458,34 @@ impl IngestPass {
         // Rung 3: shed lowest-priority first. If this vehicle holds a
         // strictly lower-priority cached batch, sacrifice that one and
         // cache the newcomer in its tier; otherwise drop the newcomer.
-        let victim = self
+        let victim = slot
             .cached
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.batch.vehicle == vehicle && c.batch.priority < offer.batch.priority)
+            .filter(|(_, c)| c.batch.priority < offer.batch.priority)
             .min_by_key(|(_, c)| (c.batch.priority, c.batch.sent_at, c.batch.seq))
             .map(|(i, _)| i);
         if let Some(i) = victim {
-            let shed = self.cached.remove(i);
+            let shed = slot.cached.remove(i);
             // The victim's cache slot transfers to the newcomer.
             let tier = if shed.disk {
-                &mut self.disk_used
+                &mut slot.disk_used
             } else {
-                &mut self.mem_used
+                &mut slot.mem_used
             };
-            if let Some(u) = tier.get_mut(&vehicle) {
-                *u = u.saturating_sub(u64::from(shed.batch.records)) + records;
-            }
-            self.shed(&shed.batch);
-            self.cached.push(Cached {
+            *tier = tier.saturating_sub(u64::from(shed.batch.records)) + records;
+            slot.cached.push(Cached {
                 expires,
                 attempts,
                 disk: shed.disk,
                 batch: offer.batch,
             });
+            self.shed(&shed.batch);
             self.metrics.deferrals += 1;
             if shed.disk {
                 self.metrics.disk_spills += 1;
             }
         } else {
-            // Free the occupancy this batch never claimed: the maps were
-            // only read above, nothing to release — just shed.
             self.shed(&offer.batch);
         }
     }
@@ -517,13 +505,16 @@ impl IngestPass {
             .iter()
             .map(RegionCollector::queued_records)
             .sum();
-        let cached: u64 = self.cached.iter().map(|c| u64::from(c.batch.records)).sum();
-        let pending: u64 = self
-            .pending
+        let parked: u64 = self
+            .vehicles
             .iter()
-            .map(|p| u64::from(p.batch.records))
+            .flat_map(|slot| {
+                let pending = slot.pending.iter().map(|p| &p.batch);
+                pending.chain(slot.cached.iter().map(|c| &c.batch))
+            })
+            .map(|batch| u64::from(batch.records))
             .sum();
-        self.metrics.backlog_records = queued + cached + pending;
+        self.metrics.backlog_records = queued + parked;
         self.metrics.clone()
     }
 }
@@ -579,21 +570,45 @@ fn dec_ingest_metrics(v: &Value) -> Result<IngestMetrics, CkptError> {
     })
 }
 
-fn enc_used(map: &BTreeMap<u64, u64>) -> Value {
+/// `(vehicle, records)` pairs for every vehicle whose `used` tier holds
+/// records, in vehicle order.
+fn enc_used(vehicles: &[VehicleIngest], used: impl Fn(&VehicleIngest) -> u64) -> Value {
     Value::Array(
-        map.iter()
-            .map(|(&vehicle, &records)| Value::Array(vec![u64_hex(vehicle), u64_hex(records)]))
+        (0u64..)
+            .zip(vehicles)
+            .filter(|&(_, slot)| used(slot) > 0)
+            .map(|(vehicle, slot)| Value::Array(vec![u64_hex(vehicle), u64_hex(used(slot))]))
             .collect(),
     )
 }
 
-fn dec_used(v: &Value, key: &str) -> Result<BTreeMap<u64, u64>, CkptError> {
-    let mut map = BTreeMap::new();
+/// The slot of `vehicle`, or an error naming the snapshot field `what`
+/// when it refers to a vehicle this fleet does not have.
+fn slot_mut<'a>(
+    vehicles: &'a mut [VehicleIngest],
+    vehicle: u64,
+    what: &str,
+) -> Result<&'a mut VehicleIngest, CkptError> {
+    let fleet = vehicles.len();
+    usize::try_from(vehicle)
+        .ok()
+        .and_then(|v| vehicles.get_mut(v))
+        .ok_or_else(|| CkptError::new(format!("{what} names vehicle {vehicle}, fleet has {fleet}")))
+}
+
+/// Restores the `(vehicle, records)` occupancy pairs under `key` into
+/// each slot's `tier`.
+fn dec_used(
+    vehicles: &mut [VehicleIngest],
+    v: &Value,
+    key: &str,
+    tier: fn(&mut VehicleIngest) -> &mut u64,
+) -> Result<(), CkptError> {
     for pair in get_array(v, key)? {
         let (vehicle, records) = val_pair(pair)?;
-        map.insert(val_u64_hex(vehicle)?, val_u64_hex(records)?);
+        *tier(slot_mut(vehicles, val_u64_hex(vehicle)?, key)?) = val_u64_hex(records)?;
     }
-    Ok(map)
+    Ok(())
 }
 
 impl IngestPass {
@@ -612,8 +627,9 @@ impl IngestPass {
             (
                 "pending",
                 Value::Array(
-                    self.pending
+                    self.vehicles
                         .iter()
+                        .flat_map(|slot| &slot.pending)
                         .map(|p| {
                             obj(vec![
                                 ("due", enc_time(p.due)),
@@ -628,8 +644,9 @@ impl IngestPass {
             (
                 "cached",
                 Value::Array(
-                    self.cached
+                    self.vehicles
                         .iter()
+                        .flat_map(|slot| &slot.cached)
                         .map(|c| {
                             obj(vec![
                                 ("expires", enc_time(c.expires)),
@@ -641,8 +658,8 @@ impl IngestPass {
                         .collect(),
                 ),
             ),
-            ("mem_used", enc_used(&self.mem_used)),
-            ("disk_used", enc_used(&self.disk_used)),
+            ("mem_used", enc_used(&self.vehicles, |slot| slot.mem_used)),
+            ("disk_used", enc_used(&self.vehicles, |slot| slot.disk_used)),
             ("metrics", enc_ingest_metrics(&self.metrics)),
             (
                 "collectors",
@@ -664,30 +681,32 @@ impl IngestPass {
     ) -> Result<IngestPass, CkptError> {
         let mut pass = IngestPass::new(cfg, seeds);
         pass.rng = rng_field(v, "rng")?;
-        pass.pending = get_array(v, "pending")?
-            .iter()
-            .map(|p| {
-                Ok(Pending {
-                    due: time_field(p, "due")?,
-                    attempts: get_u32(p, "attempts")?,
-                    expires: opt_time_field(p, "expires")?,
-                    batch: crate::ckpt::dec_batch(get(p, "batch")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        pass.cached = get_array(v, "cached")?
-            .iter()
-            .map(|c| {
-                Ok(Cached {
-                    expires: time_field(c, "expires")?,
-                    attempts: get_u32(c, "attempts")?,
-                    disk: get_bool(c, "disk")?,
-                    batch: crate::ckpt::dec_batch(get(c, "batch")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        pass.mem_used = dec_used(v, "mem_used")?;
-        pass.disk_used = dec_used(v, "disk_used")?;
+        for p in get_array(v, "pending")? {
+            let pending = Pending {
+                due: time_field(p, "due")?,
+                attempts: get_u32(p, "attempts")?,
+                expires: opt_time_field(p, "expires")?,
+                batch: crate::ckpt::dec_batch(get(p, "batch")?)?,
+            };
+            slot_mut(&mut pass.vehicles, pending.batch.vehicle, "pending")?
+                .pending
+                .push(pending);
+        }
+        for c in get_array(v, "cached")? {
+            let cached = Cached {
+                expires: time_field(c, "expires")?,
+                attempts: get_u32(c, "attempts")?,
+                disk: get_bool(c, "disk")?,
+                batch: crate::ckpt::dec_batch(get(c, "batch")?)?,
+            };
+            slot_mut(&mut pass.vehicles, cached.batch.vehicle, "cached")?
+                .cached
+                .push(cached);
+        }
+        dec_used(&mut pass.vehicles, v, "mem_used", |slot| &mut slot.mem_used)?;
+        dec_used(&mut pass.vehicles, v, "disk_used", |slot| {
+            &mut slot.disk_used
+        })?;
         pass.metrics = dec_ingest_metrics(get(v, "metrics")?)?;
         let queues = get_array(v, "collectors")?;
         if queues.len() != pass.collectors.len() {
@@ -819,7 +838,10 @@ mod tests {
         let mut rel = ReliabilityStats::new();
         let t = SimTime::ZERO + SimDuration::from_millis(100);
         let batches = vec![
-            batch(5, 0, t, 3),                               // fills the queue
+            batch(5, 0, t, 3), // fills the queue
+            // Another vehicle's low-priority batch, deferred into its own
+            // cache — and the fleet's oldest lowest-priority cached batch.
+            batch(9, 0, t + SimDuration::from_micros(500), 0),
             batch(5, 1, t + SimDuration::from_millis(1), 0), // deferred (low prio)
             batch(5, 2, t + SimDuration::from_millis(2), 3), // sheds the cached 0
         ];
@@ -833,13 +855,61 @@ mod tests {
             None,
         );
         let m = &pass.metrics;
-        assert_eq!(m.queue_bounces, 2);
+        assert_eq!(m.queue_bounces, 3);
         assert_eq!(m.records_shed, 24, "exactly the low-priority batch shed");
         assert!(m.deadline_misses >= 1);
         // The surviving cached batch is the high-priority newcomer.
-        assert_eq!(pass.cached.len(), 1);
-        assert_eq!(pass.cached[0].batch.priority, 3);
-        assert_eq!(pass.cached[0].batch.seq, 2);
+        let own = &pass.vehicles[5];
+        assert_eq!(own.cached.len(), 1);
+        assert_eq!(own.cached[0].batch.priority, 3);
+        assert_eq!(own.cached[0].batch.seq, 2);
+        assert_eq!(own.mem_used, 24);
+        // Only the crossing vehicle's own cache may be shed.
+        let other = &pass.vehicles[9];
+        assert_eq!(other.cached.len(), 1);
+        assert_eq!(other.cached[0].batch.priority, 0);
+        assert_eq!(other.mem_used, 24);
+    }
+
+    #[test]
+    fn readdress_moves_only_the_crossers_batches() {
+        let cfg = ingest_cfg();
+        let mut pass = IngestPass::new(&cfg, &SeedFactory::new(7));
+        let t = SimTime::from_secs(1);
+        for vehicle in [3u64, 4, 5] {
+            let slot = &mut pass.vehicles[vehicle as usize];
+            for seq in 0..2 {
+                slot.pending.push(Pending {
+                    due: t,
+                    attempts: 1,
+                    expires: None,
+                    batch: batch(vehicle, seq, t, 2),
+                });
+            }
+            for seq in 2..5 {
+                slot.cached.push(Cached {
+                    expires: t + SimDuration::from_secs(20),
+                    attempts: 1,
+                    disk: seq == 4,
+                    batch: batch(vehicle, seq, t, 2),
+                });
+            }
+        }
+        let regions = |pass: &IngestPass, vehicle: usize| -> Vec<u32> {
+            let slot = &pass.vehicles[vehicle];
+            let pending = slot.pending.iter().map(|p| p.batch.region);
+            pending
+                .chain(slot.cached.iter().map(|c| c.batch.region))
+                .collect()
+        };
+
+        assert_eq!(pass.readdress(4, 6), 5, "two retries and three cached");
+        assert_eq!(regions(&pass, 4), vec![6; 5]);
+        for other in [3, 5] {
+            assert_eq!(regions(&pass, other), vec![0; 5], "vehicle {other} moved");
+        }
+        assert_eq!(pass.readdress(4, 6), 0, "same-region re-address");
+        assert_eq!(pass.readdress(0, 6), 0, "a vehicle with nothing in flight");
     }
 
     #[test]

@@ -400,6 +400,105 @@ fn supervisor_falls_back_past_a_previous_version_snapshot() {
     assert_reports_identical(&straight, &resumed);
 }
 
+/// The full-stack scenario with every collector down from 1 s to 6 s,
+/// so snapshots in that window carry rung-1 retries and rung-2 cached
+/// deferrals.
+fn backlog_config(seed: u64) -> FleetConfig {
+    let mut cfg = full_stack_config(seed);
+    for region in 0..cfg.regions {
+        cfg = cfg.with_collector_outage(region, SimTime::from_secs(1), SimDuration::from_secs(5));
+    }
+    cfg
+}
+
+/// The list under `key` in a snapshot payload's ingest state.
+fn ingest_list<'a>(payload: &'a mut Value, key: &str) -> &'a mut Vec<Value> {
+    let Value::Object(top) = payload else {
+        panic!("a snapshot payload is an object");
+    };
+    let Some(Value::Object(ingest)) = top.get_mut("ingest") else {
+        panic!("ingest is on");
+    };
+    let Some(Value::Array(list)) = ingest.get_mut(key) else {
+        panic!("ingest carries a {key} list");
+    };
+    list
+}
+
+#[test]
+fn crash_resume_carries_a_live_ingest_backlog() {
+    // The crash at epoch 10 (5 s) lands inside the outage, so the
+    // epoch-8 snapshot it resumes from holds retries and cached batches,
+    // which later crossings re-address.
+    let cfg = backlog_config(13).with_engine_crash(10, SimDuration::from_secs(1));
+    let straight = FleetEngine::new(cfg.clone()).run();
+    let mut store = SnapshotStore::in_memory();
+    let resumed = FleetEngine::new(cfg).run_supervised(&mut store);
+    assert_eq!(resumed.snapshots.resumes, 1);
+
+    let text = store.get(8).expect("the pre-crash snapshot is retained");
+    let mut snap = Snapshot::decode(&text).expect("the pre-crash snapshot is valid");
+    assert!(!ingest_list(&mut snap.payload, "pending").is_empty());
+    assert!(!ingest_list(&mut snap.payload, "cached").is_empty());
+    assert!(!ingest_list(&mut snap.payload, "mem_used").is_empty());
+    let ledger = snap
+        .payload
+        .get("mobility")
+        .and_then(|mobility| mobility.get("metrics"))
+        .expect("mobility carries its ledger");
+    let readdressed_at_snapshot =
+        get_u64_hex(ledger, "readdressed_batches").expect("re-address count");
+    let mobility = resumed.mobility.as_ref().expect("mobility on");
+    assert!(
+        mobility.readdressed_batches > readdressed_at_snapshot,
+        "nothing re-addressed after the resume"
+    );
+    assert_reports_identical(&straight, &resumed);
+}
+
+#[test]
+fn restore_refuses_ingest_entries_for_vehicles_outside_the_fleet() {
+    let cfg = backlog_config(13);
+    let mut store = SnapshotStore::in_memory();
+    let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+    let text = store.get(8).expect("generation 8 retained");
+    let snap = Snapshot::decode(&text).expect("generation 8 valid");
+    let engine = FleetEngine::new(cfg.clone());
+    let reseal = |payload: Value| {
+        let text = envelope(SNAPSHOT_VERSION, snap.generation, payload);
+        Snapshot::decode(&text).expect("a resealed payload decodes")
+    };
+    engine
+        .restore(&reseal(snap.payload.clone()))
+        .expect("the untouched payload restores");
+
+    let outside = u64_hex(u64::from(cfg.vehicles));
+    for key in ["pending", "cached", "mem_used", "disk_used"] {
+        let mut payload = snap.payload.clone();
+        let list = ingest_list(&mut payload, key);
+        match key {
+            "pending" | "cached" => {
+                let Some(Value::Object(entry)) = list.first_mut() else {
+                    panic!("the snapshot holds {key} batches");
+                };
+                let Some(Value::Object(batch)) = entry.get_mut("batch") else {
+                    panic!("a {key} entry carries its batch");
+                };
+                batch.insert("vehicle".to_string(), outside.clone());
+            }
+            _ => list.push(Value::Array(vec![outside.clone(), u64_hex(24)])),
+        }
+        let err = engine
+            .restore(&reseal(payload))
+            .expect_err("a vehicle outside the fleet must be refused");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(key) && msg.contains(&format!("vehicle {}", cfg.vehicles)),
+            "{key}: {msg}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
