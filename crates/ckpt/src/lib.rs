@@ -67,6 +67,13 @@ impl CkptError {
     pub fn new(msg: impl Into<String>) -> Self {
         CkptError { msg: msg.into() }
     }
+
+    /// Prefixes the message with the field it was read from, so a
+    /// failure deep in a payload names its path.
+    #[must_use]
+    pub fn in_field(self, key: &str) -> Self {
+        CkptError::new(format!("field '{key}': {}", self.msg))
+    }
 }
 
 impl fmt::Display for CkptError {
@@ -112,6 +119,39 @@ pub fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
+/// Decodes a value written by [`u64_hex`].
+///
+/// # Errors
+///
+/// Fails when `v` is not a valid hex string.
+pub fn from_u64_hex(v: &Value) -> Result<u64, CkptError> {
+    let s = v
+        .as_str()
+        .ok_or_else(|| CkptError::new("expected hex string"))?;
+    u64::from_str_radix(s, 16).map_err(|_| CkptError::new(format!("bad u64 hex '{s}'")))
+}
+
+/// Decodes a value written by [`u128_hex`].
+///
+/// # Errors
+///
+/// Fails when `v` is not a valid hex string.
+pub fn from_u128_hex(v: &Value) -> Result<u128, CkptError> {
+    let s = v
+        .as_str()
+        .ok_or_else(|| CkptError::new("expected hex string"))?;
+    u128::from_str_radix(s, 16).map_err(|_| CkptError::new(format!("bad u128 hex '{s}'")))
+}
+
+/// Decodes a value written by [`f64_bits`].
+///
+/// # Errors
+///
+/// Fails when `v` is not a valid hex string.
+pub fn from_f64_bits(v: &Value) -> Result<f64, CkptError> {
+    Ok(f64::from_bits(from_u64_hex(v)?))
+}
+
 /// Member lookup that reports the missing key by name.
 ///
 /// # Errors
@@ -128,27 +168,7 @@ pub fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, CkptError> {
 ///
 /// Fails when the field is missing or not a valid hex string.
 pub fn get_u64_hex(v: &Value, key: &str) -> Result<u64, CkptError> {
-    let s = get_str(v, key)?;
-    u64::from_str_radix(s, 16).map_err(|_| CkptError::new(format!("field '{key}': bad u64 hex")))
-}
-
-/// Reads a hex-encoded `u128` field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a valid hex string.
-pub fn get_u128_hex(v: &Value, key: &str) -> Result<u128, CkptError> {
-    let s = get_str(v, key)?;
-    u128::from_str_radix(s, 16).map_err(|_| CkptError::new(format!("field '{key}': bad u128 hex")))
-}
-
-/// Reads an `f64` stored by bit pattern.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a valid hex string.
-pub fn get_f64_bits(v: &Value, key: &str) -> Result<f64, CkptError> {
-    Ok(f64::from_bits(get_u64_hex(v, key)?))
+    from_u64_hex(get(v, key)?).map_err(|e| e.in_field(key))
 }
 
 /// Reads a plain-number `u64` field (values known to stay below `2^53`).
@@ -162,39 +182,6 @@ pub fn get_u64(v: &Value, key: &str) -> Result<u64, CkptError> {
         .ok_or_else(|| CkptError::new(format!("field '{key}': expected unsigned integer")))
 }
 
-/// Reads a `u32` field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or out of `u32` range.
-pub fn get_u32(v: &Value, key: &str) -> Result<u32, CkptError> {
-    u32::try_from(get_u64(v, key)?)
-        .map_err(|_| CkptError::new(format!("field '{key}': out of u32 range")))
-}
-
-/// Reads a finite `f64` field stored as a plain number.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a number.
-pub fn get_f64(v: &Value, key: &str) -> Result<f64, CkptError> {
-    get(v, key)?
-        .as_f64()
-        .ok_or_else(|| CkptError::new(format!("field '{key}': expected number")))
-}
-
-/// Reads a boolean field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a boolean.
-pub fn get_bool(v: &Value, key: &str) -> Result<bool, CkptError> {
-    match get(v, key)? {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(CkptError::new(format!("field '{key}': expected bool"))),
-    }
-}
-
 /// Reads a string field.
 ///
 /// # Errors
@@ -204,18 +191,6 @@ pub fn get_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, CkptError> {
     get(v, key)?
         .as_str()
         .ok_or_else(|| CkptError::new(format!("field '{key}': expected string")))
-}
-
-/// Reads an array field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not an array.
-pub fn get_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], CkptError> {
-    get(v, key)?
-        .as_array()
-        .map(Vec::as_slice)
-        .ok_or_else(|| CkptError::new(format!("field '{key}': expected array")))
 }
 
 // ---------------------------------------------------------------------
@@ -478,11 +453,19 @@ mod tests {
     #[test]
     fn hex_helpers_round_trip_extremes() {
         let v = sample_payload();
-        assert_eq!(get_u128_hex(&v, "sum").unwrap(), u128::MAX / 3);
-        assert!(get_f64_bits(&v, "min").unwrap().is_infinite());
-        let rng = get_array(&v, "rng").unwrap();
+        assert_eq!(
+            from_u128_hex(get(&v, "sum").unwrap()).unwrap(),
+            u128::MAX / 3
+        );
+        assert!(from_f64_bits(get(&v, "min").unwrap())
+            .unwrap()
+            .is_infinite());
+        let rng = get(&v, "rng").unwrap().as_array().unwrap();
         let words = obj(vec![("w", rng[0].clone())]);
         assert_eq!(get_u64_hex(&words, "w").unwrap(), u64::MAX);
+        assert_eq!(from_u64_hex(&rng[1]).unwrap(), 7);
+        let err = get_u64_hex(&v, "label").unwrap_err();
+        assert!(err.to_string().contains("field 'label'"), "{err}");
     }
 
     #[test]

@@ -337,99 +337,3 @@ fn vehicle_span(
 pub(crate) fn region_label_table(regions: u32) -> Vec<String> {
     (0..regions).map(region_label).collect()
 }
-
-// --- snapshot codec --------------------------------------------------
-
-use crate::ckpt::{
-    dur_field, enc_dur, enc_opt_time, enc_rng, opt_time_field, rng_field, val_array,
-};
-use vdap_ckpt::json::Value;
-use vdap_ckpt::{get, get_array, get_bool, get_u32, obj, CkptError};
-
-/// Serializes one vehicle's complete private state: both RNG stream
-/// positions, sequence counters, the stored next-event times (which the
-/// next epoch advance resumes from on restore), handoff debt, and the
-/// stale collab-cache flag.
-pub(crate) fn enc_vehicle(v: &VehicleState) -> Value {
-    obj(vec![
-        ("id", Value::Number(f64::from(v.id))),
-        ("tenant", Value::Number(f64::from(v.tenant))),
-        ("region", Value::Number(f64::from(v.region))),
-        ("rng", enc_rng(&v.rng)),
-        ("seq", Value::Number(f64::from(v.seq))),
-        (
-            "ddi",
-            match &v.ddi {
-                Some(ddi) => obj(vec![
-                    ("rng", enc_rng(&ddi.rng)),
-                    ("seq", Value::Number(f64::from(ddi.seq))),
-                ]),
-                None => Value::Null,
-            },
-        ),
-        ("next_tick", enc_opt_time(v.next_tick)),
-        ("next_ingest", enc_opt_time(v.next_ingest)),
-        ("pending_handoff", enc_dur(v.pending_handoff)),
-        ("cache_stale", Value::Bool(v.cache_stale)),
-    ])
-}
-
-/// Decodes one vehicle, checking the stored DDI uplink against the
-/// restoring config's ingest flag.
-pub(crate) fn dec_vehicle(cfg: &FleetConfig, v: &Value) -> Result<VehicleState, CkptError> {
-    let ddi = match (get(v, "ddi")?, cfg.ingest.is_some()) {
-        (Value::Null, false) => None,
-        (enc, true) => Some(DdiUplink {
-            rng: rng_field(enc, "rng")?,
-            seq: get_u32(enc, "seq")?,
-        }),
-        _ => {
-            return Err(CkptError::new(
-                "snapshot and config disagree on DDI ingestion",
-            ))
-        }
-    };
-    Ok(VehicleState {
-        id: get_u32(v, "id")?,
-        tenant: get_u32(v, "tenant")?,
-        region: get_u32(v, "region")?,
-        rng: rng_field(v, "rng")?,
-        seq: get_u32(v, "seq")?,
-        ddi,
-        next_tick: opt_time_field(v, "next_tick")?,
-        next_ingest: opt_time_field(v, "next_ingest")?,
-        pending_handoff: dur_field(v, "pending_handoff")?,
-        cache_stale: get_bool(v, "cache_stale")?,
-    })
-}
-
-/// Serializes the shared V2V snapshot (tile → producer).
-pub(crate) fn enc_collab(snapshot: &CollabSnapshot) -> Value {
-    Value::Array(
-        snapshot
-            .iter()
-            .map(|(tile, &producer)| {
-                Value::Array(vec![
-                    crate::ckpt::enc_i64(tile.0),
-                    Value::Number(f64::from(producer)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Decodes the shared V2V snapshot.
-pub(crate) fn dec_collab(v: &Value, key: &str) -> Result<CollabSnapshot, CkptError> {
-    let mut snapshot = CollabSnapshot::new();
-    for pair in get_array(v, key)? {
-        let entry = val_array(pair)?;
-        let [tile, producer] = entry else {
-            return Err(CkptError::new("collab entry must be a pair"));
-        };
-        snapshot.insert(
-            Tile(crate::ckpt::dec_i64(tile)?),
-            crate::ckpt::val_u32(producer)?,
-        );
-    }
-    Ok(snapshot)
-}

@@ -1,424 +1,620 @@
-//! Snapshot codec glue for durable barrier checkpoints.
+//! The snapshot codec for durable barrier checkpoints.
 //!
 //! The fleet engine serializes its *complete* deterministic state into
 //! a [`vdap_ckpt::Snapshot`] payload at configurable epoch barriers
-//! (see [`crate::FleetConfig::with_checkpoint`]). This module holds the
-//! shared encoding vocabulary every subsystem codec speaks:
+//! (see [`crate::FleetConfig::with_checkpoint`]). Every serialized type
+//! speaks one vocabulary, the [`Snap`] trait: `enc` writes a value into
+//! the payload's [`Value`] tree and `dec` reads it back.
 //!
-//! * **Exactness over readability.** Any `u64` that may exceed 2^53
-//!   (RNG words, `SimTime`/`SimDuration` nanos, counters) is hex-coded
-//!   via [`vdap_ckpt::u64_hex`]; any `f64` that may be non-finite
-//!   (empty-histogram min/max sentinels) travels by bit pattern via
-//!   [`vdap_ckpt::f64_bits`]. Finite sample values also travel by bit
-//!   pattern so a restore is bit-identical, not merely close.
-//! * **One codec per owner.** Each subsystem encodes its own private
-//!   state (`XEdgeServer` in `edge.rs`, `IngestPass` in `ingest.rs`,
-//!   vehicles in `arena.rs`, the mobility pass in `engine.rs`); this
-//!   module only provides the leaf helpers they compose and the
-//!   top-level config fingerprint that guards restore.
-//! * **Rebuild what is pure.** Anything derivable from `FleetConfig`
-//!   plus the master seed (route graphs, contention models, retry
-//!   policies, label tables) is *not* serialized — restore rebuilds it,
-//!   and nothing executor-shaped is stored, which is what makes
-//!   restoring under a different executor width or chunk size possible.
+//! * **Leaf types encode by type.** `u8`/`u32` are plain numbers;
+//!   `u64`, `usize` and `u128` (RNG words, nanos, counters that may
+//!   exceed 2^53) are hex strings; `f64` travels by bit pattern, so
+//!   ±∞ histogram sentinels survive and a restore is bit-identical;
+//!   `SimTime`/`SimDuration` are hex nanos; `None` is `null`; an RNG
+//!   stream is its 4 state words, with the all-zero state refused.
+//!   `Vec`, arrays, tuples and `BTreeMap`s (as `[key, value]` pairs)
+//!   compose their elements.
+//! * **Records are one field list.** [`snap_record!`] writes both
+//!   directions of a struct's codec from a single list of its fields.
+//!   Encode destructures the struct without `..` and decode builds it
+//!   as a struct literal, so a field added to state and left out of the
+//!   list (or listed and then deleted) fails to compile on both sides.
+//!   A field whose bytes do not follow its type (a `u32` written as
+//!   hex, a `u128` split in two) names an [`Adapter`] in the list.
+//! * **Rebuild what is pure.** The three top-level codecs —
+//!   `XEdgeServer` (`edge.rs`), `IngestPass` (`ingest.rs`) and the
+//!   engine payload (`engine.rs`) — stay hand-written, because they
+//!   rebuild everything derivable from `FleetConfig` plus the master
+//!   seed (route graphs, contention models, retry policies, label
+//!   tables) instead of storing it, and check the stored state against
+//!   that config: lengths, subsystem toggles, the fingerprint, and every
+//!   id that later indexes a table. Nothing executor-shaped is stored,
+//!   which is what makes restoring under a different executor width or
+//!   chunk size possible.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use vdap_ckpt::json::Value;
-use vdap_ckpt::{f64_bits, get, obj, u128_hex, u64_hex, CkptError};
+use vdap_ckpt::{
+    f64_bits, from_f64_bits, from_u128_hex, from_u64_hex, get, obj, u128_hex, u64_hex, CkptError,
+};
 use vdap_ddi::UploadBatch;
+use vdap_edgeos::{AdmissionState, TenantAdmission, WorkloadClass};
+use vdap_mobility::{MobilityMetrics, RouteProfile, TrackLeg, TrackMotion, TrackSnapshot};
+use vdap_obs::{intern_name, HistogramState, RequestSpan, SpanOutcome};
+use vdap_offload::Tile;
 use vdap_sim::{
     ReliabilityState, ReliabilityStats, RngStream, SimDuration, SimTime, StreamingHistogram,
     StreamingHistogramState,
 };
 
 use crate::config::FleetConfig;
-use crate::metrics::FleetMetrics;
+use crate::edge::{EdgeRequest, ServedRequest};
+use crate::ingest::IngestMetrics;
+use crate::metrics::{ClassMetrics, FleetMetrics};
+use crate::vehicle::{DdiUplink, VehicleState};
 
-// --- element-level accessors (keyed accessors live in vdap-ckpt) -----
+// --- the trait -------------------------------------------------------
 
-/// Decodes a hex-coded `u64` array element.
-pub(crate) fn val_u64_hex(v: &Value) -> Result<u64, CkptError> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| CkptError::new("expected hex string"))?;
-    u64::from_str_radix(s, 16).map_err(|e| CkptError::new(format!("bad hex u64 '{s}': {e}")))
+/// A value that round-trips through a snapshot payload.
+pub(crate) trait Snap: Sized {
+    /// Encodes the value into the payload tree.
+    fn enc(&self) -> Value;
+    /// Decodes a value written by [`Snap::enc`].
+    fn dec(v: &Value) -> Result<Self, CkptError>;
 }
 
-/// Decodes a bit-pattern-coded `f64` array element.
-pub(crate) fn val_f64_bits(v: &Value) -> Result<f64, CkptError> {
-    Ok(f64::from_bits(val_u64_hex(v)?))
+/// A record's encoded members, keyed (and serialized) in sorted order.
+pub(crate) type Fields = BTreeMap<String, Value>;
+
+/// How a record writes (and reads) one field: its own member(s) of the
+/// record, so an adapter can also spread one field over several keys.
+pub(crate) trait Adapter<T> {
+    fn put(out: &mut Fields, key: &str, v: &T);
+    fn take(v: &Value, key: &str) -> Result<T, CkptError>;
 }
 
-/// Decodes a plain-number array element as `u64` (small counts only).
-pub(crate) fn val_u64(v: &Value) -> Result<u64, CkptError> {
-    v.as_u64()
-        .ok_or_else(|| CkptError::new("expected integral number"))
-}
+/// The default adapter: the field's type's own [`Snap`] encoding.
+pub(crate) struct ByType;
 
-/// Decodes a plain-number array element as `u32`.
-pub(crate) fn val_u32(v: &Value) -> Result<u32, CkptError> {
-    u32::try_from(val_u64(v)?).map_err(|e| CkptError::new(format!("u32 out of range: {e}")))
-}
+impl<T: Snap> Adapter<T> for ByType {
+    fn put(out: &mut Fields, key: &str, v: &T) {
+        out.insert(key.to_string(), v.enc());
+    }
 
-/// Decodes a string array element.
-pub(crate) fn val_str(v: &Value) -> Result<&str, CkptError> {
-    v.as_str().ok_or_else(|| CkptError::new("expected string"))
-}
-
-/// Encodes an `i64` exactly (hex of the two's-complement bit pattern,
-/// so negative tile coordinates survive the `f64`-backed number shim).
-pub(crate) fn enc_i64(v: i64) -> Value {
-    u64_hex(v as u64)
-}
-
-/// Decodes an `i64` array element from its bit pattern.
-pub(crate) fn dec_i64(v: &Value) -> Result<i64, CkptError> {
-    Ok(val_u64_hex(v)? as i64)
-}
-
-/// Decodes a boolean array element.
-pub(crate) fn val_bool(v: &Value) -> Result<bool, CkptError> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(CkptError::new("expected bool")),
+    fn take(v: &Value, key: &str) -> Result<T, CkptError> {
+        field(v, key)
     }
 }
 
-/// Views an array element that is itself an array.
-pub(crate) fn val_array(v: &Value) -> Result<&[Value], CkptError> {
+/// Decodes the member `key` of a record, naming it in any error.
+pub(crate) fn field<T: Snap>(v: &Value, key: &str) -> Result<T, CkptError> {
+    T::dec(get(v, key)?).map_err(|e| e.in_field(key))
+}
+
+/// Decodes each element of the array member `key` in order and hands
+/// it to `f`, without collecting the elements into a `Vec` first.
+pub(crate) fn decode_each<T: Snap>(
+    v: &Value,
+    key: &str,
+    mut f: impl FnMut(T) -> Result<(), CkptError>,
+) -> Result<(), CkptError> {
+    for item in array_of(get(v, key)?).map_err(|e| e.in_field(key))? {
+        f(T::dec(item).map_err(|e| e.in_field(key))?)?;
+    }
+    Ok(())
+}
+
+/// Encodes a sequence of borrowed values as an array.
+pub(crate) fn enc_all<'a, T: Snap + 'a>(items: impl IntoIterator<Item = &'a T>) -> Value {
+    Value::Array(items.into_iter().map(Snap::enc).collect())
+}
+
+/// Implements [`Snap`] for a struct from one list of its fields.
+///
+/// Each entry is `field`, optionally `as "key"` (the member name,
+/// default the field name) and `via Adapter` (a named [`Adapter`] for a
+/// field whose bytes do not follow its type, default [`ByType`]).
+/// Encode destructures the struct without `..` and decode builds a
+/// struct literal, so the list must name every field exactly once or
+/// neither side compiles.
+macro_rules! snap_record {
+    ($ty:ident { $($field:ident $(as $key:literal)? $(via $adapter:ident)?),+ $(,)? }) => {
+        impl $crate::ckpt::Snap for $ty {
+            fn enc(&self) -> ::vdap_ckpt::json::Value {
+                let $ty { $($field),+ } = self;
+                let mut out = $crate::ckpt::Fields::new();
+                $(<$crate::ckpt::snap_record!(@via $($adapter)?) as $crate::ckpt::Adapter<_>>::put(
+                    &mut out,
+                    $crate::ckpt::snap_record!(@key $field $($key)?),
+                    $field,
+                );)+
+                ::vdap_ckpt::json::Value::Object(out)
+            }
+
+            fn dec(v: &::vdap_ckpt::json::Value) -> Result<Self, ::vdap_ckpt::CkptError> {
+                Ok($ty {$(
+                    $field: <$crate::ckpt::snap_record!(@via $($adapter)?) as $crate::ckpt::Adapter<_>>::take(
+                        v,
+                        $crate::ckpt::snap_record!(@key $field $($key)?),
+                    )?,
+                )+})
+            }
+        }
+    };
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    (@via) => { $crate::ckpt::ByType };
+    (@via $adapter:ident) => { $adapter };
+}
+pub(crate) use snap_record;
+
+// --- leaf types ------------------------------------------------------
+
+fn str_of(v: &Value) -> Result<&str, CkptError> {
+    v.as_str().ok_or_else(|| CkptError::new("expected string"))
+}
+
+fn array_of(v: &Value) -> Result<&[Value], CkptError> {
     v.as_array()
         .map(Vec::as_slice)
         .ok_or_else(|| CkptError::new("expected array"))
 }
 
-/// Views an array element as a fixed-length pair.
-pub(crate) fn val_pair(v: &Value) -> Result<(&Value, &Value), CkptError> {
-    match val_array(v)? {
-        [a, b] => Ok((a, b)),
-        other => Err(CkptError::new(format!(
-            "expected 2-element pair, got {} elements",
-            other.len()
-        ))),
+/// Narrows a decoded integer to the field's type.
+pub(crate) fn fit<T: TryFrom<u64>>(n: u64) -> Result<T, CkptError> {
+    T::try_from(n).map_err(|_| CkptError::new(format!("{n} out of range")))
+}
+
+/// Implements [`Snap`] for a type by converting it to and from another
+/// `Snap` type that carries its encoding.
+macro_rules! snap_via {
+    ($ty:ty => $via:ty, $to:expr, $from:expr) => {
+        impl Snap for $ty {
+            fn enc(&self) -> Value {
+                let to: fn(&$ty) -> $via = $to;
+                to(self).enc()
+            }
+
+            fn dec(v: &Value) -> Result<Self, CkptError> {
+                let from: fn($via) -> Result<$ty, CkptError> = $from;
+                from(<$via>::dec(v)?)
+            }
+        }
+    };
+}
+
+/// Small counts and ids: plain JSON numbers.
+impl Snap for u32 {
+    fn enc(&self) -> Value {
+        Value::Number(f64::from(*self))
+    }
+
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        let n = v.as_u64();
+        fit(n.ok_or_else(|| CkptError::new("expected unsigned integer"))?)
     }
 }
 
-// --- time ------------------------------------------------------------
+/// Anything that may exceed 2^53: hex.
+impl Snap for u64 {
+    fn enc(&self) -> Value {
+        u64_hex(*self)
+    }
 
-/// Encodes a `SimTime` (hex nanos — exact at any magnitude).
-pub(crate) fn enc_time(t: SimTime) -> Value {
-    u64_hex(t.as_nanos())
-}
-
-/// Encodes a `SimDuration` (hex nanos).
-pub(crate) fn enc_dur(d: SimDuration) -> Value {
-    u64_hex(d.as_nanos())
-}
-
-/// Encodes an optional `SimTime` (`null` when absent).
-pub(crate) fn enc_opt_time(t: Option<SimTime>) -> Value {
-    t.map_or(Value::Null, enc_time)
-}
-
-/// Reads a `SimTime` field.
-pub(crate) fn time_field(v: &Value, key: &str) -> Result<SimTime, CkptError> {
-    Ok(SimTime::from_nanos(vdap_ckpt::get_u64_hex(v, key)?))
-}
-
-/// Reads a `SimDuration` field.
-pub(crate) fn dur_field(v: &Value, key: &str) -> Result<SimDuration, CkptError> {
-    Ok(SimDuration::from_nanos(vdap_ckpt::get_u64_hex(v, key)?))
-}
-
-/// Reads an optional `SimTime` field (`null` ⇒ `None`).
-pub(crate) fn opt_time_field(v: &Value, key: &str) -> Result<Option<SimTime>, CkptError> {
-    match get(v, key)? {
-        Value::Null => Ok(None),
-        other => Ok(Some(SimTime::from_nanos(val_u64_hex(other)?))),
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        from_u64_hex(v)
     }
 }
 
-// --- RNG streams -----------------------------------------------------
+impl Snap for u128 {
+    fn enc(&self) -> Value {
+        u128_hex(*self)
+    }
 
-/// Encodes an RNG stream's full xoshiro256++ state (4 hex words).
-pub(crate) fn enc_rng(rng: &RngStream) -> Value {
-    Value::Array(rng.state().iter().copied().map(u64_hex).collect())
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        from_u128_hex(v)
+    }
 }
 
-/// Reads an RNG stream field back from its 4-word state.
-pub(crate) fn rng_field(v: &Value, key: &str) -> Result<RngStream, CkptError> {
-    let words = vdap_ckpt::get_array(v, key)?;
-    if words.len() != 4 {
-        return Err(CkptError::new(format!(
-            "rng state '{key}' has {} words, want 4",
-            words.len()
-        )));
+/// By bit pattern: exact, and ±∞ survive.
+impl Snap for f64 {
+    fn enc(&self) -> Value {
+        f64_bits(*self)
     }
-    let mut state = [0u64; 4];
-    for (slot, w) in state.iter_mut().zip(words) {
-        *slot = val_u64_hex(w)?;
+
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        from_f64_bits(v)
     }
-    if state == [0u64; 4] {
-        return Err(CkptError::new(format!("rng state '{key}' is all-zero")));
+}
+
+impl Snap for bool {
+    fn enc(&self) -> Value {
+        Value::Bool(*self)
+    }
+
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        match v {
+            Value::Bool(b) => Ok(*b),
+            _ => Err(CkptError::new("expected bool")),
+        }
+    }
+}
+
+impl Snap for String {
+    fn enc(&self) -> Value {
+        Value::String(self.clone())
+    }
+
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        str_of(v).map(str::to_string)
+    }
+}
+
+/// Telemetry names and span class labels, decoded back into the
+/// process-wide name pool.
+impl Snap for &'static str {
+    fn enc(&self) -> Value {
+        Value::String((*self).to_string())
+    }
+
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        str_of(v).map(intern_name)
+    }
+}
+
+snap_via!(u8 => u32, |n| u32::from(*n), |n| fit(u64::from(n)));
+snap_via!(usize => u64, |n| *n as u64, fit);
+snap_via!(SimTime => u64, |t| t.as_nanos(), |n| Ok(SimTime::from_nanos(n)));
+snap_via!(SimDuration => u64, |d| d.as_nanos(), |n| Ok(SimDuration::from_nanos(n)));
+// A road tile's coordinate travels as its two's-complement bits, so
+// negative coordinates survive the `f64`-backed number shim.
+snap_via!(Tile => u64, |t| t.0 as u64, |n| Ok(Tile(n as i64)));
+// The full xoshiro256++ state; the all-zero state (a stream stuck at
+// zero forever) is refused.
+snap_via!(RngStream => [u64; 4], RngStream::state, |state| {
+    if state == [0; 4] {
+        return Err(CkptError::new("rng state is all-zero"));
     }
     Ok(RngStream::from_state(state))
-}
+});
+snap_via!(StreamingHistogram => StreamingHistogramState, StreamingHistogram::state, |s| Ok(
+    StreamingHistogram::from_state(s)
+));
+snap_via!(ReliabilityStats => ReliabilityState, ReliabilityStats::state, |s| Ok(
+    ReliabilityStats::from_state(s)
+));
+snap_via!(TenantAdmission => AdmissionState, TenantAdmission::state, |s| Ok(
+    TenantAdmission::from_state(s)
+));
 
-// --- histograms ------------------------------------------------------
-
-/// Encodes a streaming histogram sparsely (only non-zero buckets).
-pub(crate) fn enc_hist(h: &StreamingHistogram) -> Value {
-    let s = h.state();
-    obj(vec![
-        ("name", Value::String(s.name)),
-        (
-            "buckets",
-            Value::Array(
-                s.sparse_buckets
-                    .into_iter()
-                    .map(|(i, c)| Value::Array(vec![Value::Number(f64::from(i)), u64_hex(c)]))
-                    .collect(),
-            ),
-        ),
-        ("count", u64_hex(s.count)),
-        ("sum_micro", u128_hex(s.sum_micro)),
-        // min/max are ±∞ sentinels while empty — bit patterns survive.
-        ("min", f64_bits(s.min)),
-        ("max", f64_bits(s.max)),
-    ])
-}
-
-/// Reads a streaming-histogram field.
-pub(crate) fn hist_field(v: &Value, key: &str) -> Result<StreamingHistogram, CkptError> {
-    let h = get(v, key)?;
-    let mut sparse_buckets = Vec::new();
-    for pair in vdap_ckpt::get_array(h, "buckets")? {
-        let (i, c) = val_pair(pair)?;
-        sparse_buckets.push((val_u32(i)?, val_u64_hex(c)?));
+impl<T: Snap> Snap for Option<T> {
+    fn enc(&self) -> Value {
+        self.as_ref().map_or(Value::Null, Snap::enc)
     }
-    Ok(StreamingHistogram::from_state(StreamingHistogramState {
-        name: vdap_ckpt::get_str(h, "name")?.to_string(),
-        sparse_buckets,
-        count: vdap_ckpt::get_u64_hex(h, "count")?,
-        sum_micro: vdap_ckpt::get_u128_hex(h, "sum_micro")?,
-        min: vdap_ckpt::get_f64_bits(h, "min")?,
-        max: vdap_ckpt::get_f64_bits(h, "max")?,
-    }))
-}
 
-// --- reliability ledger ----------------------------------------------
-
-fn enc_labeled_nanos<'a>(entries: impl Iterator<Item = (&'a String, u64)>) -> Value {
-    Value::Array(
-        entries
-            .map(|(label, nanos)| Value::Array(vec![Value::String(label.clone()), u64_hex(nanos)]))
-            .collect(),
-    )
-}
-
-fn dec_labeled_nanos(v: &Value, key: &str) -> Result<Vec<(String, u64)>, CkptError> {
-    let mut out = Vec::new();
-    for pair in vdap_ckpt::get_array(v, key)? {
-        let (label, nanos) = val_pair(pair)?;
-        out.push((val_str(label)?.to_string(), val_u64_hex(nanos)?));
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        match v {
+            Value::Null => Ok(None),
+            other => T::dec(other).map(Some),
+        }
     }
-    Ok(out)
 }
 
-fn enc_samples(samples: &[f64]) -> Value {
-    Value::Array(samples.iter().copied().map(f64_bits).collect())
-}
-
-fn dec_samples(v: &Value, key: &str) -> Result<Vec<f64>, CkptError> {
-    vdap_ckpt::get_array(v, key)?
-        .iter()
-        .map(val_f64_bits)
-        .collect()
-}
-
-/// Encodes the full reliability ledger (MTTR samples, open outages,
-/// per-component downtime/degraded time, retry counters).
-pub(crate) fn enc_reliability(r: &ReliabilityStats) -> Value {
-    let s = r.state();
-    obj(vec![
-        ("mttr_samples", enc_samples(&s.mttr_samples)),
-        ("failover_samples", enc_samples(&s.failover_samples)),
-        ("retries", u64_hex(s.retries)),
-        ("retry_successes", u64_hex(s.retry_successes)),
-        ("retry_exhausted", u64_hex(s.retry_exhausted)),
-        ("faults_injected", u64_hex(s.faults_injected)),
-        (
-            "down_since",
-            enc_labeled_nanos(s.down_since.iter().map(|(c, t)| (c, t.as_nanos()))),
-        ),
-        (
-            "downtime",
-            enc_labeled_nanos(s.downtime.iter().map(|(c, d)| (c, d.as_nanos()))),
-        ),
-        (
-            "degraded",
-            enc_labeled_nanos(s.degraded.iter().map(|(c, d)| (c, d.as_nanos()))),
-        ),
-        ("cache_ttl_evictions", u64_hex(s.cache_ttl_evictions)),
-        ("disk_spills", u64_hex(s.disk_spills)),
-    ])
-}
-
-/// Reads a reliability-ledger field.
-pub(crate) fn reliability_field(v: &Value, key: &str) -> Result<ReliabilityStats, CkptError> {
-    let r = get(v, key)?;
-    Ok(ReliabilityStats::from_state(ReliabilityState {
-        mttr_samples: dec_samples(r, "mttr_samples")?,
-        failover_samples: dec_samples(r, "failover_samples")?,
-        retries: vdap_ckpt::get_u64_hex(r, "retries")?,
-        retry_successes: vdap_ckpt::get_u64_hex(r, "retry_successes")?,
-        retry_exhausted: vdap_ckpt::get_u64_hex(r, "retry_exhausted")?,
-        faults_injected: vdap_ckpt::get_u64_hex(r, "faults_injected")?,
-        down_since: dec_labeled_nanos(r, "down_since")?
-            .into_iter()
-            .map(|(c, n)| (c, SimTime::from_nanos(n)))
-            .collect(),
-        downtime: dec_labeled_nanos(r, "downtime")?
-            .into_iter()
-            .map(|(c, n)| (c, SimDuration::from_nanos(n)))
-            .collect(),
-        degraded: dec_labeled_nanos(r, "degraded")?
-            .into_iter()
-            .map(|(c, n)| (c, SimDuration::from_nanos(n)))
-            .collect(),
-        cache_ttl_evictions: vdap_ckpt::get_u64_hex(r, "cache_ttl_evictions")?,
-        disk_spills: vdap_ckpt::get_u64_hex(r, "disk_spills")?,
-    }))
-}
-
-// --- fleet metrics ---------------------------------------------------
-
-/// Encodes the merged, executor-shape-independent `FleetMetrics`.
-pub(crate) fn enc_metrics(m: &FleetMetrics) -> Value {
-    obj(vec![
-        ("e2e_latency_ms", enc_hist(&m.e2e_latency_ms)),
-        ("energy_per_request_j", enc_hist(&m.energy_per_request_j)),
-        ("queue_depth", enc_hist(&m.queue_depth)),
-        ("elastic_lanes", enc_hist(&m.elastic_lanes)),
-        (
-            "by_class",
-            Value::Array(
-                m.by_class
-                    .iter()
-                    .map(|c| {
-                        obj(vec![
-                            ("e2e_latency_ms", enc_hist(&c.e2e_latency_ms)),
-                            ("requests", u64_hex(c.requests)),
-                            ("edge_served", u64_hex(c.edge_served)),
-                            ("collab_hits", u64_hex(c.collab_hits)),
-                            ("failovers", u64_hex(c.failovers)),
-                            ("rejected", u64_hex(c.rejected)),
-                            ("local_fallbacks", u64_hex(c.local_fallbacks)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "work_units_by_tenant",
-            Value::Array(
-                m.work_units_by_tenant
-                    .iter()
-                    .map(|(&t, &w)| Value::Array(vec![Value::Number(f64::from(t)), u64_hex(w)]))
-                    .collect(),
-            ),
-        ),
-        ("requests", u64_hex(m.requests)),
-        ("edge_served", u64_hex(m.edge_served)),
-        ("collab_hits", u64_hex(m.collab_hits)),
-        ("failovers", u64_hex(m.failovers)),
-        ("rejected", u64_hex(m.rejected)),
-        ("requeued", u64_hex(m.requeued)),
-        ("retry_rescued", u64_hex(m.retry_rescued)),
-        ("handoffs", u64_hex(m.handoffs)),
-        ("local_fallbacks", u64_hex(m.local_fallbacks)),
-        (
-            "training_rounds_skipped",
-            u64_hex(m.training_rounds_skipped),
-        ),
-        ("scale_ups", u64_hex(m.scale_ups)),
-        ("scale_downs", u64_hex(m.scale_downs)),
-    ])
-}
-
-/// Reads a `FleetMetrics` field.
-pub(crate) fn metrics_field(v: &Value, key: &str) -> Result<FleetMetrics, CkptError> {
-    let enc = get(v, key)?;
-    let mut m = FleetMetrics::new();
-    m.e2e_latency_ms = hist_field(enc, "e2e_latency_ms")?;
-    m.energy_per_request_j = hist_field(enc, "energy_per_request_j")?;
-    m.queue_depth = hist_field(enc, "queue_depth")?;
-    m.elastic_lanes = hist_field(enc, "elastic_lanes")?;
-    let classes = vdap_ckpt::get_array(enc, "by_class")?;
-    if classes.len() != m.by_class.len() {
-        return Err(CkptError::new(format!(
-            "snapshot has {} workload classes, engine has {}",
-            classes.len(),
-            m.by_class.len()
-        )));
+impl<T: Snap> Snap for Vec<T> {
+    fn enc(&self) -> Value {
+        enc_all(self)
     }
-    for (slot, c) in m.by_class.iter_mut().zip(classes) {
-        slot.e2e_latency_ms = hist_field(c, "e2e_latency_ms")?;
-        slot.requests = vdap_ckpt::get_u64_hex(c, "requests")?;
-        slot.edge_served = vdap_ckpt::get_u64_hex(c, "edge_served")?;
-        slot.collab_hits = vdap_ckpt::get_u64_hex(c, "collab_hits")?;
-        slot.failovers = vdap_ckpt::get_u64_hex(c, "failovers")?;
-        slot.rejected = vdap_ckpt::get_u64_hex(c, "rejected")?;
-        slot.local_fallbacks = vdap_ckpt::get_u64_hex(c, "local_fallbacks")?;
+
+    /// Sized exactly: a restored arena or span log keeps this capacity
+    /// for the rest of the run.
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        let items = array_of(v)?;
+        let mut out = Vec::with_capacity(items.len());
+        for item in items {
+            out.push(T::dec(item)?);
+        }
+        Ok(out)
     }
-    for pair in vdap_ckpt::get_array(enc, "work_units_by_tenant")? {
-        let (t, w) = val_pair(pair)?;
-        m.work_units_by_tenant.insert(val_u32(t)?, val_u64_hex(w)?);
-    }
-    m.requests = vdap_ckpt::get_u64_hex(enc, "requests")?;
-    m.edge_served = vdap_ckpt::get_u64_hex(enc, "edge_served")?;
-    m.collab_hits = vdap_ckpt::get_u64_hex(enc, "collab_hits")?;
-    m.failovers = vdap_ckpt::get_u64_hex(enc, "failovers")?;
-    m.rejected = vdap_ckpt::get_u64_hex(enc, "rejected")?;
-    m.requeued = vdap_ckpt::get_u64_hex(enc, "requeued")?;
-    m.retry_rescued = vdap_ckpt::get_u64_hex(enc, "retry_rescued")?;
-    m.handoffs = vdap_ckpt::get_u64_hex(enc, "handoffs")?;
-    m.local_fallbacks = vdap_ckpt::get_u64_hex(enc, "local_fallbacks")?;
-    m.training_rounds_skipped = vdap_ckpt::get_u64_hex(enc, "training_rounds_skipped")?;
-    m.scale_ups = vdap_ckpt::get_u64_hex(enc, "scale_ups")?;
-    m.scale_downs = vdap_ckpt::get_u64_hex(enc, "scale_downs")?;
-    Ok(m)
 }
 
-// --- ingest batches --------------------------------------------------
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn enc(&self) -> Value {
+        enc_all(self)
+    }
 
-/// Encodes one in-flight DDI upload batch.
-pub(crate) fn enc_batch(b: &UploadBatch) -> Value {
-    obj(vec![
-        ("vehicle", u64_hex(b.vehicle)),
-        ("region", Value::Number(f64::from(b.region))),
-        ("seq", Value::Number(f64::from(b.seq))),
-        ("records", Value::Number(f64::from(b.records))),
-        ("bytes", u64_hex(b.bytes)),
-        ("sent_at", enc_time(b.sent_at)),
-        ("deadline", enc_time(b.deadline)),
-        ("priority", Value::Number(f64::from(b.priority))),
-    ])
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        Vec::<T>::dec(v)?.try_into().map_err(|items: Vec<T>| {
+            CkptError::new(format!("expected {N} elements, got {}", items.len()))
+        })
+    }
 }
 
-/// Decodes one in-flight DDI upload batch.
-pub(crate) fn dec_batch(v: &Value) -> Result<UploadBatch, CkptError> {
-    Ok(UploadBatch {
-        vehicle: vdap_ckpt::get_u64_hex(v, "vehicle")?,
-        region: vdap_ckpt::get_u32(v, "region")?,
-        seq: vdap_ckpt::get_u32(v, "seq")?,
-        records: vdap_ckpt::get_u32(v, "records")?,
-        bytes: vdap_ckpt::get_u64_hex(v, "bytes")?,
-        sent_at: time_field(v, "sent_at")?,
-        deadline: time_field(v, "deadline")?,
-        priority: u8::try_from(vdap_ckpt::get_u32(v, "priority")?)
-            .map_err(|e| CkptError::new(format!("priority out of range: {e}")))?,
-    })
+impl<A: Snap, B: Snap> Snap for (A, B) {
+    fn enc(&self) -> Value {
+        Value::Array(vec![self.0.enc(), self.1.enc()])
+    }
+
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        match array_of(v)? {
+            [a, b] => Ok((A::dec(a)?, B::dec(b)?)),
+            _ => Err(CkptError::new("expected a pair")),
+        }
+    }
+}
+
+impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
+    fn enc(&self) -> Value {
+        Value::Array(vec![self.0.enc(), self.1.enc(), self.2.enc()])
+    }
+
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        match array_of(v)? {
+            [a, b, c] => Ok((A::dec(a)?, B::dec(b)?, C::dec(c)?)),
+            _ => Err(CkptError::new("expected a triple")),
+        }
+    }
+}
+
+/// A map as its `[key, value]` pairs in key order.
+impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
+    fn enc(&self) -> Value {
+        let pairs = self
+            .iter()
+            .map(|(k, v)| Value::Array(vec![k.enc(), v.enc()]));
+        Value::Array(pairs.collect())
+    }
+
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        Ok(Vec::<(K, V)>::dec(v)?.into_iter().collect())
+    }
+}
+
+/// Implements [`Snap`] for a fieldless enum as its index in `$all`.
+macro_rules! snap_index {
+    ($ty:ty, $what:literal, $all:expr) => {
+        impl Snap for $ty {
+            fn enc(&self) -> Value {
+                let idx = $all.iter().position(|x| x == self);
+                Value::Number(idx.expect("every variant listed") as f64)
+            }
+
+            fn dec(v: &Value) -> Result<Self, CkptError> {
+                let idx = u32::dec(v)?;
+                let found = $all.get(idx as usize).copied();
+                found.ok_or_else(|| CkptError::new(format!("unknown {} {idx}", $what)))
+            }
+        }
+    };
+}
+
+snap_index!(WorkloadClass, "workload class", WorkloadClass::ALL);
+snap_index!(
+    RouteProfile,
+    "route profile",
+    [
+        RouteProfile::Commute,
+        RouteProfile::Roam,
+        RouteProfile::RushHour
+    ]
+);
+snap_index!(
+    TrackLeg,
+    "track leg",
+    [TrackLeg::BeforeOutbound, TrackLeg::AtWork, TrackLeg::Done]
+);
+
+/// A span outcome as its label.
+impl Snap for SpanOutcome {
+    fn enc(&self) -> Value {
+        Value::String(self.label().to_string())
+    }
+
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        let label = str_of(v)?;
+        SpanOutcome::from_label(label)
+            .ok_or_else(|| CkptError::new(format!("unknown span outcome {label:?}")))
+    }
+}
+
+/// A track's motion as an object tagged by `kind`; a drive's segment
+/// index is a plain number.
+impl Snap for TrackMotion {
+    fn enc(&self) -> Value {
+        let kind = |k: &str| ("kind", Value::from(k));
+        match self {
+            TrackMotion::Parked => obj(vec![kind("parked")]),
+            TrackMotion::Dwell(until) => obj(vec![kind("dwell"), ("until", until.enc())]),
+            TrackMotion::Drive {
+                edge,
+                remaining,
+                path,
+            } => obj(vec![
+                kind("drive"),
+                ("edge", Value::Number(*edge as f64)),
+                ("remaining", remaining.enc()),
+                ("path", path.enc()),
+            ]),
+        }
+    }
+
+    fn dec(v: &Value) -> Result<Self, CkptError> {
+        match str_of(get(v, "kind")?)? {
+            "parked" => Ok(TrackMotion::Parked),
+            "dwell" => Ok(TrackMotion::Dwell(field(v, "until")?)),
+            "drive" => Ok(TrackMotion::Drive {
+                edge: field::<u32>(v, "edge")? as usize,
+                remaining: field(v, "remaining")?,
+                path: field(v, "path")?,
+            }),
+            other => Err(CkptError::new(format!("unknown track motion {other:?}"))),
+        }
+    }
+}
+
+// --- per-field adapters ----------------------------------------------
+
+/// `(tenant, count)` pairs whose `u32` count is written as hex.
+pub(crate) struct HexCounts;
+
+impl Adapter<Vec<(u32, u32)>> for HexCounts {
+    fn put(out: &mut Fields, key: &str, v: &Vec<(u32, u32)>) {
+        let pairs = v.iter().map(|&(t, n)| (t, u64::from(n)).enc());
+        out.insert(key.to_string(), Value::Array(pairs.collect()));
+    }
+
+    fn take(v: &Value, key: &str) -> Result<Vec<(u32, u32)>, CkptError> {
+        let pairs = field::<Vec<(u32, u64)>>(v, key)?.into_iter();
+        let pairs = pairs.map(|(t, n)| Ok((t, fit(n)?)));
+        pairs
+            .collect::<Result<_, CkptError>>()
+            .map_err(|e| e.in_field(key))
+    }
+}
+
+/// `(bucket index, count)` pairs whose `u32` index is written as hex.
+pub(crate) struct HexIndex;
+
+impl Adapter<Vec<(u32, u64)>> for HexIndex {
+    fn put(out: &mut Fields, key: &str, v: &Vec<(u32, u64)>) {
+        let pairs = v.iter().map(|&(i, n)| (u64::from(i), n).enc());
+        out.insert(key.to_string(), Value::Array(pairs.collect()));
+    }
+
+    fn take(v: &Value, key: &str) -> Result<Vec<(u32, u64)>, CkptError> {
+        let pairs = field::<Vec<(u64, u64)>>(v, key)?.into_iter();
+        let pairs = pairs.map(|(i, n)| Ok((fit(i)?, n)));
+        pairs
+            .collect::<Result<_, CkptError>>()
+            .map_err(|e| e.in_field(key))
+    }
+}
+
+/// Raw RNG state words, refusing the all-zero state as [`RngStream`]'s
+/// own encoding does.
+pub(crate) struct RngWords;
+
+impl Adapter<[u64; 4]> for RngWords {
+    fn put(out: &mut Fields, key: &str, v: &[u64; 4]) {
+        ByType::put(out, key, v);
+    }
+
+    fn take(v: &Value, key: &str) -> Result<[u64; 4], CkptError> {
+        field::<RngStream>(v, key).map(|rng| rng.state())
+    }
+}
+
+/// A `u128` split into hex `<key>_hi` and `<key>_lo` halves.
+pub(crate) struct HiLo;
+
+impl Adapter<u128> for HiLo {
+    fn put(out: &mut Fields, key: &str, v: &u128) {
+        out.insert(format!("{key}_hi"), ((*v >> 64) as u64).enc());
+        out.insert(format!("{key}_lo"), (*v as u64).enc());
+    }
+
+    fn take(v: &Value, key: &str) -> Result<u128, CkptError> {
+        let hi: u64 = field(v, &format!("{key}_hi"))?;
+        let lo: u64 = field(v, &format!("{key}_lo"))?;
+        Ok((u128::from(hi) << 64) | u128::from(lo))
+    }
+}
+
+// --- records ---------------------------------------------------------
+
+snap_record! { StreamingHistogramState {
+    name, sparse_buckets as "buckets", count, sum_micro, min, max,
+} }
+
+snap_record! { HistogramState {
+    buckets via HexIndex,
+    count,
+    sum_ticks as "sum" via HiLo,
+    min_ticks as "min",
+    max_ticks as "max",
+} }
+
+snap_record! { ReliabilityState {
+    mttr_samples, failover_samples, retries, retry_successes, retry_exhausted, faults_injected,
+    down_since, downtime, degraded, cache_ttl_evictions, disk_spills,
+} }
+
+snap_record! { AdmissionState {
+    queue_cap, cap_overrides, depth, admitted, rejected, rejected_by_tenant,
+    registrations via HexCounts,
+} }
+
+snap_record! { ClassMetrics {
+    e2e_latency_ms, requests, edge_served, collab_hits, failovers, rejected, local_fallbacks,
+} }
+
+snap_record! { FleetMetrics {
+    e2e_latency_ms, energy_per_request_j, queue_depth, elastic_lanes, by_class,
+    work_units_by_tenant, requests, edge_served, collab_hits, failovers, rejected, requeued,
+    retry_rescued, handoffs, local_fallbacks, training_rounds_skipped, scale_ups, scale_downs,
+} }
+
+snap_record! { IngestMetrics {
+    batches_sent, records_sent, batches_written, records_written, deadline_misses, outage_bounces,
+    queue_bounces, retries, deferrals, disk_spills, cache_evictions, records_shed, backlog_records,
+    storage_rho, uplink_ms, ingest_latency_ms,
+} }
+
+snap_record! { UploadBatch { vehicle, region, seq, records, bytes, sent_at, deadline, priority } }
+
+snap_record! { EdgeRequest { vehicle, seq, tenant, region, class, arrival, attempts, handoff } }
+
+snap_record! { ServedRequest {
+    vehicle, seq, tenant, region, class, work, arrival, admitted, serve_start, e2e, energy_j,
+    retries, requeues, handoff,
+} }
+
+snap_record! { DdiUplink { rng, seq } }
+
+snap_record! { VehicleState {
+    id, tenant, region, rng, seq, ddi, next_tick, next_ingest, pending_handoff, cache_stale,
+} }
+
+snap_record! { RequestSpan {
+    vehicle, seq, tenant, region, class, generated, admitted, serve_start, completed, outcome,
+    retries, requeues, handoff,
+} }
+
+snap_record! { TrackSnapshot {
+    id, profile, region, home, work, outbound_at, return_at, dwell_mean, leg, motion,
+    rng via RngWords,
+} }
+
+snap_record! { MobilityMetrics {
+    crossings, migrations, storm_crossings, stale_cache_hits, readdressed_batches, handoff_seconds,
+    handoff_ms, crossing_speed_mph,
+} }
+
+// --- restore checks --------------------------------------------------
+
+/// Rejects a snapshot id that would index past the `count` entries the
+/// restoring config gives that table.
+pub(crate) fn check_id(what: &str, id: u32, count: u32) -> Result<(), CkptError> {
+    if id < count {
+        Ok(())
+    } else {
+        Err(CkptError::new(format!(
+            "{what} {id} out of range, config has {count}"
+        )))
+    }
+}
+
+/// Rejects a stored table whose length disagrees with the config.
+pub(crate) fn check_len<T>(items: Vec<T>, want: usize, what: &str) -> Result<Vec<T>, CkptError> {
+    if items.len() == want {
+        Ok(items)
+    } else {
+        Err(CkptError::new(format!(
+            "snapshot has {} {what}, config has {want}",
+            items.len()
+        )))
+    }
 }
 
 // --- config fingerprint ----------------------------------------------
@@ -515,18 +711,6 @@ impl SnapshotDiagnostics {
             && self.rejected_generations.is_empty()
             && self.resumes == 0
     }
-
-    /// Folds another run leg's accounting into this one (a supervised
-    /// run restarts the engine; the report should show every leg).
-    pub fn absorb(&mut self, other: &SnapshotDiagnostics) {
-        self.writes.extend(other.writes.iter().cloned());
-        if other.load_ms.is_some() {
-            self.load_ms = other.load_ms;
-        }
-        self.rejected_generations
-            .extend(other.rejected_generations.iter().copied());
-        self.resumes += other.resumes;
-    }
 }
 
 impl fmt::Display for SnapshotDiagnostics {
@@ -567,21 +751,19 @@ mod tests {
     use super::*;
     use vdap_sim::SeedFactory;
 
+    fn round_trip<T: Snap>(v: &T) -> T {
+        T::dec(&v.enc()).expect("decodes what it encoded")
+    }
+
     #[test]
     fn time_and_duration_round_trip_at_full_range() {
         let t = SimTime::from_nanos(u64::MAX - 7);
-        let v = obj(vec![
-            ("t", enc_time(t)),
-            ("d", enc_dur(SimDuration::from_nanos(3))),
-        ]);
-        assert_eq!(time_field(&v, "t").unwrap(), t);
-        assert_eq!(dur_field(&v, "d").unwrap(), SimDuration::from_nanos(3));
-        let opt = obj(vec![
-            ("a", enc_opt_time(None)),
-            ("b", enc_opt_time(Some(t))),
-        ]);
-        assert_eq!(opt_time_field(&opt, "a").unwrap(), None);
-        assert_eq!(opt_time_field(&opt, "b").unwrap(), Some(t));
+        assert_eq!(round_trip(&t), t);
+        let d = SimDuration::from_nanos(3);
+        assert_eq!(round_trip(&d), d);
+        assert_eq!(round_trip(&None::<SimTime>), None);
+        assert_eq!(None::<SimTime>.enc(), Value::Null);
+        assert_eq!(round_trip(&Some(t)), Some(t));
     }
 
     #[test]
@@ -591,8 +773,7 @@ mod tests {
         for _ in 0..17 {
             rng.uniform();
         }
-        let v = obj(vec![("rng", enc_rng(&rng))]);
-        let mut restored = rng_field(&v, "rng").unwrap();
+        let mut restored = round_trip(&rng);
         let mut orig = rng;
         for _ in 0..64 {
             assert_eq!(orig.next_u64(), restored.next_u64());
@@ -601,11 +782,13 @@ mod tests {
 
     #[test]
     fn rng_rejects_all_zero_state() {
-        let v = obj(vec![(
-            "rng",
-            Value::Array(vec![u64_hex(0), u64_hex(0), u64_hex(0), u64_hex(0)]),
-        )]);
-        assert!(rng_field(&v, "rng").is_err());
+        let zero = Value::Array(vec![u64_hex(0), u64_hex(0), u64_hex(0), u64_hex(0)]);
+        assert!(RngStream::dec(&zero).is_err());
+        // A mobility track's raw state words are held to the same rule.
+        let track = obj(vec![("rng", zero)]);
+        assert!(<RngWords as Adapter<[u64; 4]>>::take(&track, "rng").is_err());
+        let short = Value::Array(vec![u64_hex(1), u64_hex(2), u64_hex(3)]);
+        assert!(RngStream::dec(&short).is_err());
     }
 
     #[test]
@@ -614,15 +797,31 @@ mod tests {
         for i in 0..500 {
             h.record(0.001 * f64::from(i) * f64::from(i));
         }
-        let v = obj(vec![
-            ("h", enc_hist(&h)),
-            ("empty", enc_hist(&StreamingHistogram::new("e"))),
-        ]);
-        let back = hist_field(&v, "h").unwrap();
+        let back = round_trip(&h);
         assert_eq!(back.state(), h.state());
         assert_eq!(format!("{back}"), format!("{h}"));
-        let empty = hist_field(&v, "empty").unwrap();
+        let empty = round_trip(&StreamingHistogram::new("e"));
         assert_eq!(empty.state(), StreamingHistogram::new("e").state());
+    }
+
+    #[test]
+    fn telemetry_histogram_splits_its_sum_and_hexes_bucket_indices() {
+        let mut h = vdap_obs::StreamingHistogram::new("ckpt_obs_ms");
+        for i in 1..300u32 {
+            h.record(f64::from(i) * 3.7);
+        }
+        let state = HistogramState {
+            sum_ticks: (7u128 << 64) | 9,
+            ..h.state()
+        };
+        let v = state.enc();
+        assert_eq!(vdap_ckpt::get_u64_hex(&v, "sum_hi").unwrap(), 7);
+        assert_eq!(vdap_ckpt::get_u64_hex(&v, "sum_lo").unwrap(), 9);
+        let first = &get(&v, "buckets").unwrap().as_array().unwrap()[0];
+        assert!(first.as_array().unwrap()[0].as_str().is_some(), "hex index");
+        assert_eq!(round_trip(&state), state);
+        let empty = vdap_obs::StreamingHistogram::new("e").state();
+        assert_eq!(round_trip(&empty), empty);
     }
 
     #[test]
@@ -633,8 +832,7 @@ mod tests {
         r.record_fault("engine", SimTime::from_secs(20));
         r.record_retry();
         r.record_disk_spills(4);
-        let v = obj(vec![("rel", enc_reliability(&r))]);
-        let back = reliability_field(&v, "rel").unwrap();
+        let back = round_trip(&r);
         assert_eq!(back.state(), r.state());
         assert!(back.is_down("engine"));
     }
@@ -648,14 +846,17 @@ mod tests {
         m.by_class[1].rejected = 7;
         m.by_class[1].e2e_latency_ms.record(11.0);
         m.work_units_by_tenant.insert(3, u64::MAX - 1);
-        let v = obj(vec![("m", enc_metrics(&m))]);
-        let back = metrics_field(&v, "m").unwrap();
-        assert_eq!(back, m);
+        assert_eq!(round_trip(&m), m);
+        // A ledger with the wrong number of workload classes is refused.
+        let Value::Object(mut fields) = m.enc() else {
+            panic!("metrics encode as an object");
+        };
+        fields.insert("by_class".into(), m.by_class[..2].to_vec().enc());
+        assert!(FleetMetrics::dec(&Value::Object(fields)).is_err());
     }
 
-    #[test]
-    fn batch_round_trip_is_exact() {
-        let b = UploadBatch {
+    fn batch() -> UploadBatch {
+        UploadBatch {
             vehicle: 900_720,
             region: 5,
             seq: 19,
@@ -664,9 +865,42 @@ mod tests {
             sent_at: SimTime::from_secs(12),
             deadline: SimTime::from_secs(14),
             priority: 3,
+        }
+    }
+
+    #[test]
+    fn batch_round_trip_is_exact() {
+        let b = batch();
+        assert_eq!(round_trip(&b), b);
+    }
+
+    #[test]
+    fn admission_registrations_travel_as_hex() {
+        let state = AdmissionState {
+            queue_cap: 40,
+            cap_overrides: vec![(1, 10)],
+            depth: vec![(0, 3), (2, 5)],
+            admitted: 1 << 55,
+            rejected: 9,
+            rejected_by_tenant: vec![(2, 9)],
+            registrations: vec![(0, 12), (3, 7)],
         };
-        let v = enc_batch(&b);
-        assert_eq!(dec_batch(&v).unwrap(), b);
+        let v = state.enc();
+        let pair = &get(&v, "registrations").unwrap().as_array().unwrap()[1];
+        assert_eq!(pair, &Value::Array(vec![Value::from(3u32), u64_hex(7)]));
+        assert_eq!(round_trip(&state), state);
+    }
+
+    #[test]
+    fn a_bad_member_is_named_in_the_error() {
+        let err = UploadBatch::dec(&obj(vec![])).unwrap_err();
+        assert!(err.to_string().contains("missing field"), "{err}");
+        let Value::Object(mut fields) = batch().enc() else {
+            panic!("a batch encodes as an object");
+        };
+        fields.insert("sent_at".into(), Value::Bool(true));
+        let err = UploadBatch::dec(&Value::Object(fields)).unwrap_err();
+        assert!(err.to_string().contains("field 'sent_at'"), "{err}");
     }
 
     #[test]

@@ -1013,162 +1013,12 @@ impl XEdgeServer {
 
 // --- snapshot codec --------------------------------------------------
 
-use crate::ckpt::{dur_field, enc_dur, enc_time, time_field, val_array, val_bool, val_u64_hex};
+use crate::ckpt::{check_id, check_len, field, snap_record, Snap};
 use vdap_ckpt::json::Value;
-use vdap_ckpt::{
-    f64_bits, get, get_array, get_bool, get_f64_bits, get_u32, get_u64_hex, obj, u64_hex, CkptError,
-};
+use vdap_ckpt::{get, obj, CkptError};
 
-/// Decodes a workload class stored as its dense `ALL` index.
-fn class_field(v: &Value, key: &str) -> Result<WorkloadClass, CkptError> {
-    let idx = get_u32(v, key)? as usize;
-    WorkloadClass::ALL
-        .get(idx)
-        .copied()
-        .ok_or_else(|| CkptError::new(format!("workload class index {idx} out of range")))
-}
-
-fn enc_req(r: &EdgeRequest) -> Value {
-    obj(vec![
-        ("vehicle", Value::Number(f64::from(r.vehicle))),
-        ("seq", Value::Number(f64::from(r.seq))),
-        ("tenant", Value::Number(f64::from(r.tenant))),
-        ("region", Value::Number(f64::from(r.region))),
-        ("class", Value::Number(r.class.index() as f64)),
-        ("arrival", enc_time(r.arrival)),
-        ("attempts", Value::Number(f64::from(r.attempts))),
-        ("handoff", enc_dur(r.handoff)),
-    ])
-}
-
-fn dec_req(v: &Value) -> Result<EdgeRequest, CkptError> {
-    Ok(EdgeRequest {
-        vehicle: get_u32(v, "vehicle")?,
-        seq: get_u32(v, "seq")?,
-        tenant: get_u32(v, "tenant")?,
-        region: get_u32(v, "region")?,
-        class: class_field(v, "class")?,
-        arrival: time_field(v, "arrival")?,
-        attempts: get_u32(v, "attempts")?,
-        handoff: dur_field(v, "handoff")?,
-    })
-}
-
-fn enc_served(s: &ServedRequest) -> Value {
-    obj(vec![
-        ("vehicle", Value::Number(f64::from(s.vehicle))),
-        ("seq", Value::Number(f64::from(s.seq))),
-        ("tenant", Value::Number(f64::from(s.tenant))),
-        ("region", Value::Number(f64::from(s.region))),
-        ("class", Value::Number(s.class.index() as f64)),
-        ("work", u64_hex(s.work)),
-        ("arrival", enc_time(s.arrival)),
-        ("admitted", enc_time(s.admitted)),
-        ("serve_start", enc_time(s.serve_start)),
-        ("e2e", enc_dur(s.e2e)),
-        ("energy_j", f64_bits(s.energy_j)),
-        ("retries", Value::Number(f64::from(s.retries))),
-        ("requeues", Value::Number(f64::from(s.requeues))),
-        ("handoff", Value::Bool(s.handoff)),
-    ])
-}
-
-fn dec_served(v: &Value) -> Result<ServedRequest, CkptError> {
-    Ok(ServedRequest {
-        vehicle: get_u32(v, "vehicle")?,
-        seq: get_u32(v, "seq")?,
-        tenant: get_u32(v, "tenant")?,
-        region: get_u32(v, "region")?,
-        class: class_field(v, "class")?,
-        work: get_u64_hex(v, "work")?,
-        arrival: time_field(v, "arrival")?,
-        admitted: time_field(v, "admitted")?,
-        serve_start: time_field(v, "serve_start")?,
-        e2e: dur_field(v, "e2e")?,
-        energy_j: get_f64_bits(v, "energy_j")?,
-        retries: get_u32(v, "retries")?,
-        requeues: get_u32(v, "requeues")?,
-        handoff: get_bool(v, "handoff")?,
-    })
-}
-
-fn enc_admission(a: &TenantAdmission) -> Value {
-    let s = a.state();
-    let pairs = |entries: &[(u32, u64)]| -> Value {
-        Value::Array(
-            entries
-                .iter()
-                .map(|&(t, n)| Value::Array(vec![Value::Number(f64::from(t)), u64_hex(n)]))
-                .collect(),
-        )
-    };
-    obj(vec![
-        ("queue_cap", u64_hex(s.queue_cap as u64)),
-        (
-            "cap_overrides",
-            pairs(
-                &s.cap_overrides
-                    .iter()
-                    .map(|&(t, c)| (t, c as u64))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-        (
-            "depth",
-            pairs(
-                &s.depth
-                    .iter()
-                    .map(|&(t, d)| (t, d as u64))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-        ("admitted", u64_hex(s.admitted)),
-        ("rejected", u64_hex(s.rejected)),
-        ("rejected_by_tenant", pairs(&s.rejected_by_tenant)),
-        (
-            "registrations",
-            pairs(
-                &s.registrations
-                    .iter()
-                    .map(|&(t, n)| (t, u64::from(n)))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-    ])
-}
-
-fn dec_admission(v: &Value) -> Result<TenantAdmission, CkptError> {
-    let pairs = |key: &str| -> Result<Vec<(u32, u64)>, CkptError> {
-        let mut out = Vec::new();
-        for p in get_array(v, key)? {
-            let (t, n) = crate::ckpt::val_pair(p)?;
-            out.push((crate::ckpt::val_u32(t)?, val_u64_hex(n)?));
-        }
-        Ok(out)
-    };
-    Ok(TenantAdmission::from_state(vdap_edgeos::AdmissionState {
-        queue_cap: get_u64_hex(v, "queue_cap")? as usize,
-        cap_overrides: pairs("cap_overrides")?
-            .into_iter()
-            .map(|(t, c)| (t, c as usize))
-            .collect(),
-        depth: pairs("depth")?
-            .into_iter()
-            .map(|(t, d)| (t, d as usize))
-            .collect(),
-        admitted: get_u64_hex(v, "admitted")?,
-        rejected: get_u64_hex(v, "rejected")?,
-        rejected_by_tenant: pairs("rejected_by_tenant")?,
-        registrations: pairs("registrations")?
-            .into_iter()
-            .map(|(t, n)| {
-                u32::try_from(n)
-                    .map(|n| (t, n))
-                    .map_err(|e| CkptError::new(format!("registration count: {e}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    }))
-}
+snap_record! { Lane { node, free } }
+snap_record! { InFlight { finish, node, served, req } }
 
 impl XEdgeServer {
     /// Serializes everything the serving pass carries across barriers:
@@ -1179,156 +1029,65 @@ impl XEdgeServer {
     /// the server is a pure function of `FleetConfig` and is rebuilt on
     /// restore.
     pub(crate) fn ckpt(&self) -> Value {
+        let scaler = self.scaler.as_ref().map_or(Value::Null, |s| {
+            let (ups, downs) = s.counters();
+            obj(vec![("scale_ups", ups.enc()), ("scale_downs", downs.enc())])
+        });
         obj(vec![
-            (
-                "lanes",
-                Value::Array(
-                    self.lanes
-                        .iter()
-                        .map(|l| {
-                            obj(vec![
-                                ("node", Value::Number(f64::from(l.node))),
-                                ("free", enc_time(l.free)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "in_flight",
-                Value::Array(
-                    self.in_flight
-                        .iter()
-                        .map(|f| {
-                            obj(vec![
-                                ("finish", enc_time(f.finish)),
-                                ("node", Value::Number(f64::from(f.node))),
-                                ("served", enc_served(&f.served)),
-                                ("req", enc_req(&f.req)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "requeued",
-                Value::Array(self.requeued.iter().map(enc_req).collect()),
-            ),
-            (
-                "node_down",
-                Value::Array(self.node_down.iter().map(|&b| Value::Bool(b)).collect()),
-            ),
-            (
-                "crash_history",
-                Value::Array(
-                    self.crash_history
-                        .iter()
-                        .map(|h| Value::Array(h.iter().map(|&t| enc_time(t)).collect()))
-                        .collect(),
-                ),
-            ),
-            (
-                "crash_looped",
-                Value::Array(self.crash_looped.iter().map(|&b| Value::Bool(b)).collect()),
-            ),
-            ("admission", enc_admission(&self.admission)),
-            (
-                "region_admission",
-                match &self.region_admission {
-                    Some(gates) => Value::Array(gates.iter().map(enc_admission).collect()),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "scaler",
-                match &self.scaler {
-                    Some(s) => {
-                        let (ups, downs) = s.counters();
-                        obj(vec![
-                            ("scale_ups", u64_hex(ups)),
-                            ("scale_downs", u64_hex(downs)),
-                        ])
-                    }
-                    None => Value::Null,
-                },
-            ),
-            ("last_depth", u64_hex(self.last_depth as u64)),
+            ("lanes", self.lanes.enc()),
+            ("in_flight", self.in_flight.enc()),
+            ("requeued", self.requeued.enc()),
+            ("node_down", self.node_down.enc()),
+            ("crash_history", self.crash_history.enc()),
+            ("crash_looped", self.crash_looped.enc()),
+            ("admission", self.admission.enc()),
+            ("region_admission", self.region_admission.enc()),
+            ("scaler", scaler),
+            ("last_depth", self.last_depth.enc()),
         ])
     }
 
     /// Rebuilds the server from config (everything derivable) plus the
-    /// serialized cross-barrier state.
+    /// serialized cross-barrier state, refusing node, region and tenant
+    /// ids the config has no table entry for.
     pub(crate) fn restore_ckpt(cfg: &FleetConfig, v: &Value) -> Result<XEdgeServer, CkptError> {
         let mut edge = XEdgeServer::new(cfg);
-        let mut lanes = Vec::new();
-        for l in get_array(v, "lanes")? {
-            lanes.push(Lane {
-                node: get_u32(l, "node")?,
-                free: time_field(l, "free")?,
-            });
-        }
+        let lanes: Vec<Lane> = field(v, "lanes")?;
         if lanes.is_empty() {
             return Err(CkptError::new("snapshot has an empty lane pool"));
         }
+        edge.in_flight = field(v, "in_flight")?;
+        edge.requeued = field(v, "requeued")?;
+        for lane in &lanes {
+            check_id("lane node", lane.node, edge.edge_nodes)?;
+        }
+        for inf in &edge.in_flight {
+            check_id("in-flight node", inf.node, edge.edge_nodes)?;
+        }
+        for req in edge
+            .in_flight
+            .iter()
+            .map(|inf| &inf.req)
+            .chain(&edge.requeued)
+        {
+            check_id("request region", req.region, cfg.regions)?;
+            check_id("request tenant", req.tenant, cfg.tenants)?;
+        }
         edge.contention = edge.contention.resized(lanes.len() as u32);
         edge.lanes = lanes;
-        edge.in_flight = get_array(v, "in_flight")?
-            .iter()
-            .map(|f| {
-                Ok(InFlight {
-                    finish: time_field(f, "finish")?,
-                    node: get_u32(f, "node")?,
-                    served: dec_served(get(f, "served")?)?,
-                    req: dec_req(get(f, "req")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        edge.requeued = get_array(v, "requeued")?
-            .iter()
-            .map(dec_req)
-            .collect::<Result<Vec<_>, _>>()?;
-        let node_down = get_array(v, "node_down")?
-            .iter()
-            .map(val_bool)
-            .collect::<Result<Vec<_>, _>>()?;
-        if node_down.len() != edge.node_down.len() {
-            return Err(CkptError::new(format!(
-                "snapshot has {} edge nodes, config has {}",
-                node_down.len(),
-                edge.node_down.len()
-            )));
-        }
-        edge.node_down = node_down;
-        let mut crash_history = Vec::new();
-        for h in get_array(v, "crash_history")? {
-            crash_history.push(
-                val_array(h)?
-                    .iter()
-                    .map(|t| Ok(vdap_sim::SimTime::from_nanos(val_u64_hex(t)?)))
-                    .collect::<Result<Vec<_>, CkptError>>()?,
-            );
-        }
-        if crash_history.len() != edge.crash_history.len() {
-            return Err(CkptError::new("crash history length mismatch"));
-        }
-        edge.crash_history = crash_history;
-        let crash_looped = get_array(v, "crash_looped")?
-            .iter()
-            .map(val_bool)
-            .collect::<Result<Vec<_>, _>>()?;
-        if crash_looped.len() != edge.crash_looped.len() {
-            return Err(CkptError::new("crash-loop table length mismatch"));
-        }
-        edge.crash_looped = crash_looped;
-        edge.admission = dec_admission(get(v, "admission")?)?;
-        edge.region_admission = match (get(v, "region_admission")?, cfg.mobility.as_ref()) {
-            (Value::Null, None) => None,
-            (Value::Array(gates), Some(_)) => Some(
-                gates
-                    .iter()
-                    .map(dec_admission)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
+        let nodes = edge.node_down.len();
+        edge.node_down = check_len(field(v, "node_down")?, nodes, "edge nodes")?;
+        edge.crash_history = check_len(field(v, "crash_history")?, nodes, "crash histories")?;
+        edge.crash_looped = check_len(field(v, "crash_looped")?, nodes, "crash-loop flags")?;
+        edge.admission = field(v, "admission")?;
+        let gates: Option<Vec<TenantAdmission>> = field(v, "region_admission")?;
+        edge.region_admission = match (gates, cfg.mobility.as_ref()) {
+            (None, None) => None,
+            (Some(gates), Some(_)) => Some(check_len(
+                gates,
+                cfg.regions as usize,
+                "region admission gates",
+            )?),
             _ => {
                 return Err(CkptError::new(
                     "snapshot and config disagree on per-region admission",
@@ -1339,8 +1098,8 @@ impl XEdgeServer {
             (Value::Null, None) => None,
             (s, Some(policy)) => Some(LaneScaler::from_counters(
                 policy,
-                get_u64_hex(s, "scale_ups")?,
-                get_u64_hex(s, "scale_downs")?,
+                field(s, "scale_ups")?,
+                field(s, "scale_downs")?,
             )),
             _ => {
                 return Err(CkptError::new(
@@ -1348,7 +1107,7 @@ impl XEdgeServer {
                 ))
             }
         };
-        edge.last_depth = get_u64_hex(v, "last_depth")? as usize;
+        edge.last_depth = field(v, "last_depth")?;
         Ok(edge)
     }
 }

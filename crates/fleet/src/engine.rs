@@ -33,32 +33,20 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use vdap_ckpt::json::Value;
-use vdap_ckpt::{
-    f64_bits, get, get_array, get_bool, get_f64_bits, get_str, get_u32, get_u64_hex, obj, u64_hex,
-    CkptError, Snapshot, SnapshotStore,
-};
+use vdap_ckpt::{get, obj, CkptError, Snapshot, SnapshotStore};
 use vdap_edgeos::WorkloadClass;
 use vdap_fault::{FaultEdge, FaultInjector, FaultKind};
 use vdap_mobility::{
-    Crossing, MobilityMetrics, RegionGraph, RouteProfile, TrackLeg, TrackMotion, TrackSnapshot,
-    VehicleTrack,
+    Crossing, MobilityMetrics, RegionGraph, TrackMotion, TrackSnapshot, VehicleTrack,
 };
 use vdap_net::CellularChannel;
-use vdap_obs::{
-    intern_name, BarrierProfiler, HistogramState, JsonlSpillSink, RequestSpan, SpanOutcome,
-    StreamingHistogram,
-};
+use vdap_obs::{BarrierProfiler, JsonlSpillSink, RequestSpan, SpanOutcome, StreamingHistogram};
 use vdap_sim::{ReliabilityStats, RngStream, SeedFactory, SimDuration, SimTime};
 
-use crate::arena::{
-    advance_chunk, dec_collab, dec_vehicle, enc_collab, enc_vehicle, fresh_arena,
-    region_label_table, ChunkOut, CollabSnapshot,
-};
+use crate::arena::{advance_chunk, fresh_arena, region_label_table, ChunkOut, CollabSnapshot};
 use crate::ckpt::{
-    check_fingerprint, config_fingerprint, dur_field, enc_dur, enc_hist, enc_metrics, enc_opt_time,
-    enc_reliability, enc_rng, enc_time, hist_field, metrics_field, opt_time_field,
-    reliability_field, rng_field, time_field, val_array, val_f64_bits, val_pair, val_str, val_u32,
-    val_u64_hex, SnapshotDiagnostics, SnapshotWrite,
+    check_fingerprint, check_id, check_len, config_fingerprint, decode_each, enc_all, field, fit,
+    snap_record, Snap, SnapshotDiagnostics, SnapshotWrite,
 };
 use crate::config::{
     handoff_label, tenant_label, CheckpointConfig, FleetConfig, FleetConfigError, CKPT_STORE_LABEL,
@@ -139,11 +127,13 @@ impl FleetEngine {
     /// the complete deterministic engine state is serialized into the
     /// store; a seeded [`FaultKind::EngineCrash`] kills the run at its
     /// epoch barrier, and the supervisor resumes from the newest
-    /// snapshot whose checksum still verifies — falling back a
-    /// generation past torn or corrupted writes, or restarting from
-    /// scratch when no valid snapshot survives. The returned report's
-    /// summary is byte-identical to the same scenario's straight
-    /// [`FleetEngine::run`]; only wall-clock diagnostics differ.
+    /// generation that restores — falling back past torn or corrupted
+    /// writes and past any checksum-valid snapshot that fails to
+    /// restore (a foreign fingerprint, an out-of-range id), or
+    /// restarting from scratch when no generation restores. The
+    /// returned report's summary is byte-identical to the same
+    /// scenario's straight [`FleetEngine::run`]; only wall-clock
+    /// diagnostics differ.
     #[must_use]
     pub fn run_supervised(&self, store: &mut SnapshotStore) -> FleetReport {
         let ctx = RunCtx::new(&self.cfg);
@@ -163,22 +153,32 @@ impl FleetEngine {
                 RunEnd::Completed(report) => return *report,
                 RunEnd::Crashed { epoch, snapshots } => {
                     fence = epoch;
-                    let (snap, rejected) = store.newest_valid();
                     let mut carried = snapshots;
                     carried.resumes += 1;
-                    carried.rejected_generations.extend(rejected);
-                    state = match snap {
-                        Some(snapshot) => {
-                            let started = Instant::now();
-                            let restored = state_from_snapshot(&ctx, &snapshot.payload)
-                                .expect("checksum-valid snapshot decodes");
-                            carried.load_ms = Some(started.elapsed().as_secs_f64() * 1e3);
+                    let restored = store
+                        .generations()
+                        .into_iter()
+                        .rev()
+                        .find_map(|generation| {
+                            let text = store.get(generation).unwrap_or_default();
+                            let attempt = Snapshot::decode(&text).and_then(|snap| {
+                                let started = Instant::now();
+                                let restored = state_from_snapshot(&ctx, &snap)?;
+                                Ok((restored, started.elapsed()))
+                            });
+                            if attempt.is_err() {
+                                carried.rejected_generations.push(generation);
+                            }
+                            attempt.ok()
+                        });
+                    state = match restored {
+                        Some((restored, load)) => {
+                            carried.load_ms = Some(load.as_secs_f64() * 1e3);
                             restored
                         }
-                        // Every stored generation failed its checksum:
-                        // restart from scratch. Determinism makes this
-                        // indistinguishable (minus wall clock) from
-                        // never having crashed.
+                        // No generation restores: restart from scratch.
+                        // Determinism makes this indistinguishable (minus
+                        // wall clock) from never having crashed.
                         None => EngineState::fresh(&ctx),
                     };
                     state.snapshots = carried;
@@ -197,13 +197,7 @@ impl FleetEngine {
     pub fn restore(&self, snapshot: &Snapshot) -> Result<FleetReport, CkptError> {
         let ctx = RunCtx::new(&self.cfg);
         let started = Instant::now();
-        let mut state = state_from_snapshot(&ctx, &snapshot.payload)?;
-        if snapshot.generation != state.epoch_index {
-            return Err(CkptError::new(format!(
-                "snapshot generation {} disagrees with payload epoch {}",
-                snapshot.generation, state.epoch_index
-            )));
-        }
+        let mut state = state_from_snapshot(&ctx, snapshot)?;
         state.snapshots.load_ms = Some(started.elapsed().as_secs_f64() * 1e3);
         state.snapshots.resumes = 1;
         match run_core(&ctx, state, None, &[]) {
@@ -655,16 +649,13 @@ fn write_snapshot(
 fn snapshot_payload(cfg: &FleetConfig, state: &EngineState) -> Value {
     obj(vec![
         ("config", config_fingerprint(cfg)),
-        ("epoch", u64_hex(state.epoch_index)),
-        ("events", u64_hex(state.events)),
-        ("ladder_rng", enc_rng(&state.ladder_rng)),
-        ("metrics", enc_metrics(&state.engine_metrics)),
-        ("reliability", enc_reliability(&state.reliability)),
-        (
-            "vehicles",
-            Value::Array(state.vehicles.iter().map(enc_vehicle).collect()),
-        ),
-        ("collab", enc_collab(&state.collab)),
+        ("epoch", state.epoch_index.enc()),
+        ("events", state.events.enc()),
+        ("ladder_rng", state.ladder_rng.enc()),
+        ("metrics", state.engine_metrics.enc()),
+        ("reliability", state.reliability.enc()),
+        ("vehicles", state.vehicles.enc()),
+        ("collab", state.collab.enc()),
         ("edge", state.edge.ckpt()),
         (
             "ingest",
@@ -679,477 +670,214 @@ fn snapshot_payload(cfg: &FleetConfig, state: &EngineState) -> Value {
         ),
         (
             "telemetry",
-            state.telemetry.as_ref().map_or(Value::Null, enc_telemetry),
+            state.telemetry.as_ref().map_or(Value::Null, telemetry_ckpt),
         ),
     ])
 }
 
-/// Rebuilds a complete [`EngineState`] from a decoded snapshot payload.
+/// Decodes the subsystem stored under `key`, which must be present
+/// exactly when the config carries its settings `on`.
+fn subsystem<C, T>(
+    payload: &Value,
+    key: &str,
+    on: Option<C>,
+    restore: impl FnOnce(C, &Value) -> Result<T, CkptError>,
+) -> Result<Option<T>, CkptError> {
+    match (get(payload, key)?, on) {
+        (Value::Null, None) => Ok(None),
+        (enc, Some(on)) if *enc != Value::Null => {
+            restore(on, enc).map(Some).map_err(|e| e.in_field(key))
+        }
+        _ => Err(CkptError::new(format!(
+            "snapshot and config disagree on the {key} subsystem"
+        ))),
+    }
+}
+
+/// Rebuilds a complete [`EngineState`] from a decoded snapshot.
 ///
 /// Everything that is a pure function of the scenario — the region
 /// graph, contention curves, retry policies, label tables — is
 /// *recomputed*, never deserialized, and nothing executor-shaped is
 /// stored, so the restoring engine's width and chunk size are free to
 /// differ from the writing run's.
-fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, CkptError> {
+fn state_from_snapshot(ctx: &RunCtx, snapshot: &Snapshot) -> Result<EngineState, CkptError> {
     let cfg = &ctx.cfg;
+    let payload = &snapshot.payload;
     check_fingerprint(cfg, payload)?;
-    let epoch_index = get_u64_hex(payload, "epoch")?;
+    let epoch_index: u64 = field(payload, "epoch")?;
+    if snapshot.generation != epoch_index {
+        return Err(CkptError::new(format!(
+            "snapshot generation {} disagrees with payload epoch {epoch_index}",
+            snapshot.generation
+        )));
+    }
     let t_snap = SimTime::ZERO + cfg.epoch * epoch_index;
     if epoch_index == 0 || t_snap >= ctx.horizon {
         return Err(CkptError::new(format!(
             "snapshot epoch {epoch_index} outside the run's open interval"
         )));
     }
-    let events = get_u64_hex(payload, "events")?;
-    let ladder_rng = rng_field(payload, "ladder_rng")?;
-    let engine_metrics = metrics_field(payload, "metrics")?;
-    let reliability = reliability_field(payload, "reliability")?;
-    let collab = dec_collab(payload, "collab")?;
-
-    let mobility = match (get(payload, "mobility")?, cfg.mobility.is_some()) {
-        (Value::Null, false) => None,
-        (Value::Null, true) | (_, false) => {
-            return Err(CkptError::new(
-                "snapshot and config disagree on the mobility subsystem",
-            ))
-        }
-        (enc, true) => Some(MobilityPass::restore_ckpt(cfg, &ctx.seeds, enc)?),
-    };
-
-    let vehicles_enc = get_array(payload, "vehicles")?;
-    if vehicles_enc.len() != cfg.vehicles as usize {
-        return Err(CkptError::new(format!(
-            "snapshot holds {} vehicles, config expects {}",
-            vehicles_enc.len(),
-            cfg.vehicles
-        )));
-    }
-    let mut vehicles = Vec::with_capacity(vehicles_enc.len());
-    for (i, enc) in vehicles_enc.iter().enumerate() {
-        let v = dec_vehicle(cfg, enc)?;
+    let vehicles: Vec<VehicleState> = field(payload, "vehicles")?;
+    let vehicles = check_len(vehicles, cfg.vehicles as usize, "vehicles")?;
+    for (i, v) in vehicles.iter().enumerate() {
         if v.id as usize != i {
             return Err(CkptError::new(format!("vehicle {i} carries id {}", v.id)));
         }
-        vehicles.push(v);
-    }
-
-    let edge = XEdgeServer::restore_ckpt(cfg, get(payload, "edge")?)?;
-    let ingest = match (get(payload, "ingest")?, cfg.ingest.is_some()) {
-        (Value::Null, false) => None,
-        (Value::Null, true) | (_, false) => {
+        if v.ddi.is_some() != cfg.ingest.is_some() {
             return Err(CkptError::new(
-                "snapshot and config disagree on the ingest subsystem",
-            ))
+                "snapshot and config disagree on DDI ingestion",
+            ));
         }
-        (enc, true) => Some(IngestPass::restore_ckpt(cfg, &ctx.seeds, enc)?),
-    };
-    let telemetry = match (get(payload, "telemetry")?, cfg.telemetry) {
-        (Value::Null, false) => None,
-        (Value::Null, true) | (_, false) => {
-            return Err(CkptError::new("snapshot and config disagree on telemetry"))
-        }
-        (enc, true) => {
-            let (mut tel, spill_state) = dec_telemetry(enc)?;
-            // Sink wiring is config-derived: the budget, the sampling
-            // seed, and the spill *directory* come from the config the
-            // run restores under, while the dynamic counters (spilled
-            // spans, current segment) come from the snapshot so the
-            // writer appends where the crashed run left off.
-            tel.budget = cfg.telemetry_budget;
-            tel.sample_seed = cfg.seed;
-            tel.sample = tel.sample.or(cfg.span_sample);
-            if let Some(dir) = cfg.span_spill.clone() {
-                let (spilled, index, bytes) = spill_state;
-                tel.spill = Some(JsonlSpillSink::resume(
-                    dir,
-                    vdap_obs::DEFAULT_SEGMENT_BYTES,
-                    spilled,
-                    index,
-                    bytes,
-                ));
-            }
-            Some(tel)
-        }
-    };
-
+        check_id("vehicle region", v.region, cfg.regions)?;
+        check_id("vehicle tenant", v.tenant, cfg.tenants)?;
+    }
+    let mobility = subsystem(payload, "mobility", cfg.mobility.as_ref(), |mob, v| {
+        MobilityPass::restore_ckpt(mob, cfg, &ctx.seeds, v)
+    })?;
+    let ingest = subsystem(payload, "ingest", cfg.ingest.as_ref(), |_, v| {
+        IngestPass::restore_ckpt(cfg, &ctx.seeds, v)
+    })?;
+    let telemetry = subsystem(
+        payload,
+        "telemetry",
+        cfg.telemetry.then_some(()),
+        |(), v| restore_telemetry(cfg, v),
+    )?;
     Ok(EngineState {
         vehicles,
-        collab,
-        edge,
-        engine_metrics,
-        reliability,
+        collab: field(payload, "collab")?,
+        edge: XEdgeServer::restore_ckpt(cfg, get(payload, "edge")?)
+            .map_err(|e| e.in_field("edge"))?,
+        engine_metrics: field(payload, "metrics")?,
+        reliability: field(payload, "reliability")?,
         telemetry,
         ingest,
         mobility,
-        ladder_rng,
+        ladder_rng: field(payload, "ladder_rng")?,
         epoch_index,
-        events,
+        events: field(payload, "events")?,
         snapshots: SnapshotDiagnostics::default(),
     })
 }
 
 // ---- telemetry codec ------------------------------------------------
 
-fn enc_span(s: &RequestSpan) -> Value {
-    obj(vec![
-        ("vehicle", Value::Number(f64::from(s.vehicle))),
-        ("seq", Value::Number(f64::from(s.seq))),
-        ("tenant", Value::Number(f64::from(s.tenant))),
-        ("region", Value::Number(f64::from(s.region))),
-        ("class", Value::String(s.class.to_string())),
-        ("generated", enc_time(s.generated)),
-        ("admitted", enc_opt_time(s.admitted)),
-        ("serve_start", enc_opt_time(s.serve_start)),
-        ("completed", enc_time(s.completed)),
-        ("outcome", Value::String(s.outcome.label().to_string())),
-        ("retries", Value::Number(f64::from(s.retries))),
-        ("requeues", Value::Number(f64::from(s.requeues))),
-        ("handoff", Value::Bool(s.handoff)),
-    ])
+/// The telemetry sink's carried state as it is written: its sampling and
+/// budget counters and the spill writer's position.
+struct SinkState {
+    /// Active keep-one-in-N rate, 0 meaning off (a configured rate is
+    /// never zero: validation rejects it).
+    sample: u64,
+    sampled_out: u64,
+    rolled: bool,
+    peak_bytes: u64,
+    spilled: u64,
+    spill_index: u64,
+    spill_bytes: u64,
 }
 
-fn dec_span(v: &Value) -> Result<RequestSpan, CkptError> {
-    let outcome_label = get_str(v, "outcome")?;
-    let outcome = SpanOutcome::from_label(outcome_label)
-        .ok_or_else(|| CkptError::new(format!("unknown span outcome {outcome_label:?}")))?;
-    Ok(RequestSpan {
-        vehicle: get_u32(v, "vehicle")?,
-        seq: get_u32(v, "seq")?,
-        tenant: get_u32(v, "tenant")?,
-        region: get_u32(v, "region")?,
-        class: intern_name(get_str(v, "class")?),
-        generated: time_field(v, "generated")?,
-        admitted: opt_time_field(v, "admitted")?,
-        serve_start: opt_time_field(v, "serve_start")?,
-        completed: time_field(v, "completed")?,
-        outcome,
-        retries: get_u32(v, "retries")?,
-        requeues: get_u32(v, "requeues")?,
-        handoff: get_bool(v, "handoff")?,
-    })
-}
+snap_record! { SinkState {
+    sample, sampled_out, rolled, peak_bytes, spilled, spill_index, spill_bytes,
+} }
 
 /// Serializes the full telemetry surface: the span log in its current
 /// order (the final `sort_canonical` has unique keys, so order here is
-/// immaterial), counters, gauges, and every per-epoch series.
-fn enc_telemetry(tel: &FleetTelemetry) -> Value {
+/// immaterial), counters, gauges, every per-epoch series, the rolled-up
+/// histograms, and the sink state.
+fn telemetry_ckpt(tel: &FleetTelemetry) -> Value {
+    let reg = &tel.registry;
+    let spill = tel.spill.as_ref();
+    let sink = SinkState {
+        sample: tel.sample.map_or(0, u64::from),
+        sampled_out: tel.sampled_out,
+        rolled: tel.rolled,
+        peak_bytes: tel.peak_bytes,
+        spilled: spill.map_or(0, JsonlSpillSink::spilled),
+        spill_index: spill.map_or(0, |s| u64::from(s.current_index())),
+        spill_bytes: spill.map_or(0, JsonlSpillSink::current_bytes),
+    };
+    let series = reg.all_series().map(|(name, points)| {
+        let points = points.iter().map(|p| (p.epoch, p.at, p.value).enc());
+        Value::Array(vec![name.enc(), Value::Array(points.collect())])
+    });
     obj(vec![
-        (
-            "spans",
-            Value::Array(tel.spans.iter().map(enc_span).collect()),
-        ),
+        ("spans", enc_all(tel.spans.spans())),
         (
             "counters",
-            Value::Array(
-                tel.registry
-                    .counters()
-                    .map(|(name, v)| {
-                        Value::Array(vec![Value::String(name.to_string()), u64_hex(v)])
-                    })
-                    .collect(),
-            ),
+            Value::Array(reg.counters().map(|c| c.enc()).collect()),
         ),
         (
             "gauges",
-            Value::Array(
-                tel.registry
-                    .gauges()
-                    .map(|(name, v)| {
-                        Value::Array(vec![Value::String(name.to_string()), f64_bits(v)])
-                    })
-                    .collect(),
-            ),
+            Value::Array(reg.gauges().map(|g| g.enc()).collect()),
         ),
-        (
-            "series",
-            Value::Array(
-                tel.registry
-                    .all_series()
-                    .map(|(name, pts)| {
-                        Value::Array(vec![
-                            Value::String(name.to_string()),
-                            Value::Array(
-                                pts.iter()
-                                    .map(|p| {
-                                        Value::Array(vec![
-                                            u64_hex(p.epoch),
-                                            enc_time(p.at),
-                                            f64_bits(p.value),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("series", Value::Array(series.collect())),
         (
             "hists",
             Value::Array(
-                tel.registry
-                    .all_histograms()
-                    .map(|h| {
-                        let st = h.state();
-                        Value::Array(vec![
-                            Value::String(h.name().to_string()),
-                            obj(vec![
-                                ("count", u64_hex(st.count)),
-                                ("sum_hi", u64_hex((st.sum_ticks >> 64) as u64)),
-                                ("sum_lo", u64_hex(st.sum_ticks as u64)),
-                                ("min", u64_hex(st.min_ticks)),
-                                ("max", u64_hex(st.max_ticks)),
-                                (
-                                    "buckets",
-                                    Value::Array(
-                                        st.buckets
-                                            .iter()
-                                            .map(|&(i, n)| {
-                                                Value::Array(vec![
-                                                    u64_hex(u64::from(i)),
-                                                    u64_hex(n),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ]),
-                        ])
-                    })
+                reg.all_histograms()
+                    .map(|h| (h.name(), h.state()).enc())
                     .collect(),
             ),
         ),
-        (
-            "sink",
-            obj(vec![
-                // 0 encodes "sampling off" (a configured rate is never
-                // zero — validation rejects it).
-                ("sample", u64_hex(tel.sample.map_or(0, u64::from))),
-                ("sampled_out", u64_hex(tel.sampled_out)),
-                ("rolled", Value::Bool(tel.rolled)),
-                ("peak_bytes", u64_hex(tel.peak_bytes)),
-                (
-                    "spilled",
-                    u64_hex(tel.spill.as_ref().map_or(0, JsonlSpillSink::spilled)),
-                ),
-                (
-                    "spill_index",
-                    u64_hex(
-                        tel.spill
-                            .as_ref()
-                            .map_or(0, |s| u64::from(s.current_index())),
-                    ),
-                ),
-                (
-                    "spill_bytes",
-                    u64_hex(tel.spill.as_ref().map_or(0, JsonlSpillSink::current_bytes)),
-                ),
-            ]),
-        ),
+        ("sink", sink.enc()),
     ])
 }
 
-type SpillState = (u64, u32, u64);
-
-fn dec_telemetry(v: &Value) -> Result<(FleetTelemetry, SpillState), CkptError> {
+/// Rebuilds the telemetry surface. Sink wiring is config-derived: the
+/// budget, the sampling seed, and the spill *directory* come from the
+/// config the run restores under, while the dynamic counters (spilled
+/// spans, current segment) come from the snapshot so the writer appends
+/// where the crashed run left off.
+fn restore_telemetry(cfg: &FleetConfig, v: &Value) -> Result<FleetTelemetry, CkptError> {
     let mut tel = FleetTelemetry::default();
-    for s in get_array(v, "spans")? {
-        tel.spans.push(dec_span(s)?);
-    }
-    for pair in get_array(v, "counters")? {
-        let (name, count) = val_pair(pair)?;
-        tel.registry
-            .inc(intern_name(val_str(name)?), val_u64_hex(count)?);
-    }
-    for pair in get_array(v, "gauges")? {
-        let (name, value) = val_pair(pair)?;
-        tel.registry
-            .set_gauge(intern_name(val_str(name)?), val_f64_bits(value)?);
-    }
-    for entry in get_array(v, "series")? {
-        let (name, points) = val_pair(entry)?;
-        let name = intern_name(val_str(name)?);
-        for p in val_array(points)? {
-            let [epoch, at, value] = val_array(p)? else {
-                return Err(CkptError::new("series point is not a triple"));
-            };
-            tel.registry.sample(
-                name,
-                val_u64_hex(epoch)?,
-                SimTime::from_nanos(val_u64_hex(at)?),
-                val_f64_bits(value)?,
-            );
-        }
-    }
-    for entry in get_array(v, "hists")? {
-        let (name, body) = val_pair(entry)?;
-        let name = intern_name(val_str(name)?);
-        let mut buckets = Vec::new();
-        for pair in get_array(body, "buckets")? {
-            let (index, count) = val_pair(pair)?;
-            let index = u32::try_from(val_u64_hex(index)?)
-                .map_err(|_| CkptError::new("histogram bucket index out of range"))?;
-            buckets.push((index, val_u64_hex(count)?));
-        }
-        let sum_ticks = (u128::from(get_u64_hex(body, "sum_hi")?) << 64)
-            | u128::from(get_u64_hex(body, "sum_lo")?);
-        tel.registry
-            .restore_histogram(StreamingHistogram::from_state(
-                name,
-                HistogramState {
-                    buckets,
-                    count: get_u64_hex(body, "count")?,
-                    sum_ticks,
-                    min_ticks: get_u64_hex(body, "min")?,
-                    max_ticks: get_u64_hex(body, "max")?,
-                },
-            ));
-    }
-    let sink = get(v, "sink")?;
-    let sample = get_u64_hex(sink, "sample")?;
-    tel.sample = if sample == 0 {
-        None
-    } else {
-        Some(u32::try_from(sample).map_err(|_| CkptError::new("sample rate out of range"))?)
-    };
-    tel.sampled_out = get_u64_hex(sink, "sampled_out")?;
-    tel.rolled = get_bool(sink, "rolled")?;
-    tel.peak_bytes = get_u64_hex(sink, "peak_bytes")?;
-    let spill_state = (
-        get_u64_hex(sink, "spilled")?,
-        u32::try_from(get_u64_hex(sink, "spill_index")?)
-            .map_err(|_| CkptError::new("spill segment index out of range"))?,
-        get_u64_hex(sink, "spill_bytes")?,
-    );
-    Ok((tel, spill_state))
-}
-
-// ---- mobility codec -------------------------------------------------
-
-fn enc_track(t: &TrackSnapshot) -> Value {
-    let profile = match t.profile {
-        RouteProfile::Commute => 0.0,
-        RouteProfile::Roam => 1.0,
-        RouteProfile::RushHour => 2.0,
-    };
-    let leg = match t.leg {
-        TrackLeg::BeforeOutbound => 0.0,
-        TrackLeg::AtWork => 1.0,
-        TrackLeg::Done => 2.0,
-    };
-    let motion = match &t.motion {
-        TrackMotion::Parked => obj(vec![("kind", Value::String("parked".to_string()))]),
-        TrackMotion::Dwell(until) => obj(vec![
-            ("kind", Value::String("dwell".to_string())),
-            ("until", enc_time(*until)),
-        ]),
-        TrackMotion::Drive {
-            edge,
-            remaining,
-            path,
-        } => obj(vec![
-            ("kind", Value::String("drive".to_string())),
-            ("edge", Value::Number(*edge as f64)),
-            ("remaining", enc_dur(*remaining)),
-            (
-                "path",
-                Value::Array(path.iter().map(|&r| Value::Number(f64::from(r))).collect()),
-            ),
-        ]),
-    };
-    obj(vec![
-        ("id", Value::Number(f64::from(t.id))),
-        ("profile", Value::Number(profile)),
-        ("region", Value::Number(f64::from(t.region))),
-        ("home", Value::Number(f64::from(t.home))),
-        ("work", Value::Number(f64::from(t.work))),
-        ("outbound_at", enc_time(t.outbound_at)),
-        ("return_at", enc_time(t.return_at)),
-        ("dwell_mean", enc_dur(t.dwell_mean)),
-        ("leg", Value::Number(leg)),
-        ("motion", motion),
-        (
-            "rng",
-            Value::Array(t.rng.iter().copied().map(u64_hex).collect()),
-        ),
-    ])
-}
-
-fn dec_track(v: &Value) -> Result<TrackSnapshot, CkptError> {
-    let profile = match get_u32(v, "profile")? {
-        0 => RouteProfile::Commute,
-        1 => RouteProfile::Roam,
-        2 => RouteProfile::RushHour,
-        other => return Err(CkptError::new(format!("unknown route profile {other}"))),
-    };
-    let leg = match get_u32(v, "leg")? {
-        0 => TrackLeg::BeforeOutbound,
-        1 => TrackLeg::AtWork,
-        2 => TrackLeg::Done,
-        other => return Err(CkptError::new(format!("unknown track leg {other}"))),
-    };
-    let motion_v = get(v, "motion")?;
-    let motion = match get_str(motion_v, "kind")? {
-        "parked" => TrackMotion::Parked,
-        "dwell" => TrackMotion::Dwell(time_field(motion_v, "until")?),
-        "drive" => TrackMotion::Drive {
-            edge: get_u32(motion_v, "edge")? as usize,
-            remaining: dur_field(motion_v, "remaining")?,
-            path: get_array(motion_v, "path")?
-                .iter()
-                .map(val_u32)
-                .collect::<Result<_, _>>()?,
+    decode_each(v, "spans", |span| {
+        tel.spans.push(span);
+        Ok(())
+    })?;
+    let reg = &mut tel.registry;
+    decode_each(v, "counters", |(name, count)| {
+        reg.inc(name, count);
+        Ok(())
+    })?;
+    decode_each(v, "gauges", |(name, value)| {
+        reg.set_gauge(name, value);
+        Ok(())
+    })?;
+    decode_each(
+        v,
+        "series",
+        |(name, points): (_, Vec<(u64, SimTime, f64)>)| {
+            for (epoch, at, value) in points {
+                reg.sample(name, epoch, at, value);
+            }
+            Ok(())
         },
-        other => return Err(CkptError::new(format!("unknown track motion {other:?}"))),
-    };
-    let [a, b, c, d] = get_array(v, "rng")? else {
-        return Err(CkptError::new("track rng is not four words"));
-    };
-    Ok(TrackSnapshot {
-        id: get_u32(v, "id")?,
-        profile,
-        region: get_u32(v, "region")?,
-        home: get_u32(v, "home")?,
-        work: get_u32(v, "work")?,
-        outbound_at: time_field(v, "outbound_at")?,
-        return_at: time_field(v, "return_at")?,
-        dwell_mean: dur_field(v, "dwell_mean")?,
-        leg,
-        motion,
-        rng: [
-            val_u64_hex(a)?,
-            val_u64_hex(b)?,
-            val_u64_hex(c)?,
-            val_u64_hex(d)?,
-        ],
-    })
-}
-
-fn enc_mobility_metrics(m: &MobilityMetrics) -> Value {
-    obj(vec![
-        ("crossings", u64_hex(m.crossings)),
-        ("migrations", u64_hex(m.migrations)),
-        ("storm_crossings", u64_hex(m.storm_crossings)),
-        ("stale_cache_hits", u64_hex(m.stale_cache_hits)),
-        ("readdressed_batches", u64_hex(m.readdressed_batches)),
-        ("handoff_seconds", f64_bits(m.handoff_seconds)),
-        ("handoff_ms", enc_hist(&m.handoff_ms)),
-        ("crossing_speed_mph", enc_hist(&m.crossing_speed_mph)),
-    ])
-}
-
-fn dec_mobility_metrics(v: &Value) -> Result<MobilityMetrics, CkptError> {
-    Ok(MobilityMetrics {
-        crossings: get_u64_hex(v, "crossings")?,
-        migrations: get_u64_hex(v, "migrations")?,
-        storm_crossings: get_u64_hex(v, "storm_crossings")?,
-        stale_cache_hits: get_u64_hex(v, "stale_cache_hits")?,
-        readdressed_batches: get_u64_hex(v, "readdressed_batches")?,
-        handoff_seconds: get_f64_bits(v, "handoff_seconds")?,
-        handoff_ms: hist_field(v, "handoff_ms")?,
-        crossing_speed_mph: hist_field(v, "crossing_speed_mph")?,
-    })
+    )?;
+    decode_each(v, "hists", |(name, state)| {
+        reg.restore_histogram(StreamingHistogram::from_state(name, state));
+        Ok(())
+    })?;
+    let sink: SinkState = field(v, "sink")?;
+    let spill_index = fit(sink.spill_index).map_err(|e| e.in_field("spill_index"))?;
+    tel.sample = Some(fit(sink.sample).map_err(|e| e.in_field("sample"))?)
+        .filter(|&n| n != 0)
+        .or(cfg.span_sample);
+    tel.sampled_out = sink.sampled_out;
+    tel.rolled = sink.rolled;
+    tel.peak_bytes = sink.peak_bytes;
+    tel.budget = cfg.telemetry_budget;
+    tel.sample_seed = cfg.seed;
+    tel.spill = cfg.span_spill.clone().map(|dir| {
+        JsonlSpillSink::resume(
+            dir,
+            vdap_obs::DEFAULT_SEGMENT_BYTES,
+            sink.spilled,
+            spill_index,
+            sink.spill_bytes,
+        )
+    });
+    Ok(tel)
 }
 
 /// The engine-owned geo-mobility pass.
@@ -1170,28 +898,37 @@ struct MobilityPass {
 
 impl MobilityPass {
     fn new(mob: &vdap_mobility::MobilityConfig, cfg: &FleetConfig, seeds: &SeedFactory) -> Self {
-        let mut graph_rng = seeds.stream("fleet-mobility-graph");
-        let graph = RegionGraph::seeded(
-            cfg.regions,
-            mob.chords(cfg.regions),
-            mob.segment_capacity,
-            &mut graph_rng,
-        );
-        let tracks = (0..cfg.vehicles)
+        let mut pass = MobilityPass::untracked(mob, cfg, seeds);
+        pass.tracks = (0..cfg.vehicles)
             .map(|id| {
                 VehicleTrack::new(
                     id,
                     cfg.region_of(id),
                     mob,
-                    &graph,
+                    &pass.graph,
                     cfg.duration,
                     seeds.indexed_stream("fleet-mobility", u64::from(id)),
                 )
             })
             .collect();
+        pass
+    }
+
+    /// The pass over the seeded region graph, before any track exists.
+    fn untracked(
+        mob: &vdap_mobility::MobilityConfig,
+        cfg: &FleetConfig,
+        seeds: &SeedFactory,
+    ) -> Self {
+        let mut graph_rng = seeds.stream("fleet-mobility-graph");
         MobilityPass {
-            graph,
-            tracks,
+            graph: RegionGraph::seeded(
+                cfg.regions,
+                mob.chords(cfg.regions),
+                mob.segment_capacity,
+                &mut graph_rng,
+            ),
+            tracks: Vec::new(),
             channel: CellularChannel::calibrated(),
             handoff_labels: (0..cfg.regions).map(handoff_label).collect(),
             metrics: MobilityMetrics::new(),
@@ -1202,67 +939,50 @@ impl MobilityPass {
     /// Serializes the pass: every route track (in vehicle-id order) and
     /// the mobility ledger.
     fn ckpt(&self) -> Value {
+        let tracks = self.tracks.iter().map(|t| t.snapshot().enc());
         obj(vec![
-            (
-                "tracks",
-                Value::Array(
-                    self.tracks
-                        .iter()
-                        .map(|t| enc_track(&t.snapshot()))
-                        .collect(),
-                ),
-            ),
-            ("metrics", enc_mobility_metrics(&self.metrics)),
+            ("tracks", Value::Array(tracks.collect())),
+            ("metrics", self.metrics.enc()),
         ])
     }
 
     /// Rebuilds the pass: the region graph and channel are re-derived
     /// from the seed, the tracks and the ledger come from the
-    /// snapshot.
+    /// snapshot. A track naming a region or road segment the graph does
+    /// not have is refused.
     fn restore_ckpt(
+        mob: &vdap_mobility::MobilityConfig,
         cfg: &FleetConfig,
         seeds: &SeedFactory,
         v: &Value,
     ) -> Result<MobilityPass, CkptError> {
-        let Some(mob) = cfg.mobility.as_ref() else {
-            return Err(CkptError::new(
-                "mobility snapshot without a mobility config",
-            ));
-        };
-        let mut graph_rng = seeds.stream("fleet-mobility-graph");
-        let graph = RegionGraph::seeded(
-            cfg.regions,
-            mob.chords(cfg.regions),
-            mob.segment_capacity,
-            &mut graph_rng,
-        );
-        let tracks_enc = get_array(v, "tracks")?;
-        if tracks_enc.len() != cfg.vehicles as usize {
-            return Err(CkptError::new(format!(
-                "snapshot holds {} mobility tracks, config expects {}",
-                tracks_enc.len(),
-                cfg.vehicles
-            )));
-        }
-        let mut tracks = Vec::with_capacity(tracks_enc.len());
-        for (i, enc) in tracks_enc.iter().enumerate() {
-            let snap = dec_track(enc)?;
-            if snap.id as usize != i {
+        let mut pass = MobilityPass::untracked(mob, cfg, seeds);
+        let mut tracks = Vec::with_capacity(cfg.vehicles as usize);
+        let segments = pass.graph.segments().len() as u32;
+        decode_each(v, "tracks", |snap: TrackSnapshot| {
+            if snap.id as usize != tracks.len() {
                 return Err(CkptError::new(format!(
-                    "mobility track {i} carries id {}",
+                    "mobility track {} carries id {}",
+                    tracks.len(),
                     snap.id
                 )));
             }
+            for region in [snap.region, snap.home, snap.work] {
+                check_id("track region", region, cfg.regions)?;
+            }
+            if let TrackMotion::Drive { edge, path, .. } = &snap.motion {
+                let edge = u32::try_from(*edge).unwrap_or(u32::MAX);
+                check_id("track edge", edge, segments)?;
+                for &region in path {
+                    check_id("track path region", region, cfg.regions)?;
+                }
+            }
             tracks.push(VehicleTrack::from_snapshot(snap));
-        }
-        Ok(MobilityPass {
-            graph,
-            tracks,
-            channel: CellularChannel::calibrated(),
-            handoff_labels: (0..cfg.regions).map(handoff_label).collect(),
-            metrics: dec_mobility_metrics(get(v, "metrics")?)?,
-            crossings_buf: Vec::new(),
-        })
+            Ok(())
+        })?;
+        pass.tracks = check_len(tracks, cfg.vehicles as usize, "mobility tracks")?;
+        pass.metrics = field(v, "metrics")?;
+        Ok(pass)
     }
 
     /// One barrier's mobility step, covering the epoch
@@ -1818,6 +1538,59 @@ mod tests {
                 mob.handoff_seconds
             );
         }
+    }
+
+    /// `snapshot_payload(state_from_snapshot(p)) == p`, byte for byte,
+    /// for every generation real runs write: random seeds, each of
+    /// ingest, mobility, elastic lanes and budgeted, sampled telemetry
+    /// on or off, and a node crash. Encode → decode → encode through
+    /// the engine state is the identity.
+    #[test]
+    fn snapshot_payload_round_trips_through_engine_state() {
+        let mut draws = SeedFactory::new(0x5AFE).stream("snapshot-round-trip");
+        let mut generations = 0;
+        for mask in 0..16u64 {
+            let mut cfg = FleetConfig::sized(40);
+            cfg.seed = draws.next_u64();
+            cfg.duration = SimDuration::from_secs(6);
+            // 80 epochs cross the series retention window, so rollup
+            // histograms reach the snapshots too.
+            cfg.epoch = SimDuration::from_millis(if mask % 3 == 0 { 75 } else { 500 });
+            if mask & 1 != 0 {
+                cfg = cfg.with_ingest().with_collector_outage(
+                    0,
+                    SimTime::from_secs(1),
+                    SimDuration::from_secs(3),
+                );
+            }
+            if mask & 2 != 0 {
+                cfg = cfg.with_mobility();
+            }
+            if mask & 4 != 0 {
+                cfg = cfg.with_elastic_capacity();
+            }
+            if mask & 8 != 0 {
+                cfg = cfg.with_telemetry_budget(4 * 1024).with_span_sampling(3);
+            }
+            let cfg = cfg
+                .with_edge_node_crash(1, SimTime::from_secs(2), SimDuration::from_secs(2))
+                .with_checkpoint(3, 1000);
+            let mut store = SnapshotStore::in_memory();
+            let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+            let ctx = RunCtx::new(&cfg);
+            for generation in store.generations() {
+                let text = store.get(generation).expect("retained");
+                let snap = Snapshot::decode(&text).expect("a clean write decodes");
+                let state = state_from_snapshot(&ctx, &snap).expect("restores");
+                let again = snapshot_payload(&cfg, &state).to_string();
+                assert!(
+                    again == snap.payload.to_string(),
+                    "mask {mask:#06b}, generation {generation} re-encodes differently"
+                );
+                generations += 1;
+            }
+        }
+        assert!(generations > 150, "only {generations} generations checked");
     }
 
     #[test]

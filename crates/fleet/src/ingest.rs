@@ -521,63 +521,21 @@ impl IngestPass {
 
 // --- snapshot codec --------------------------------------------------
 
-use crate::ckpt::{
-    enc_batch, enc_hist, enc_opt_time, enc_rng, enc_time, hist_field, opt_time_field, rng_field,
-    time_field, val_array, val_pair, val_u64_hex,
-};
+use crate::ckpt::{check_id, check_len, decode_each, enc_all, field, snap_record, Snap};
 use vdap_ckpt::json::Value;
-use vdap_ckpt::{get, get_array, get_bool, get_u32, get_u64_hex, obj, u64_hex, CkptError};
+use vdap_ckpt::{obj, CkptError};
 
-fn enc_ingest_metrics(m: &IngestMetrics) -> Value {
-    obj(vec![
-        ("batches_sent", u64_hex(m.batches_sent)),
-        ("records_sent", u64_hex(m.records_sent)),
-        ("batches_written", u64_hex(m.batches_written)),
-        ("records_written", u64_hex(m.records_written)),
-        ("deadline_misses", u64_hex(m.deadline_misses)),
-        ("outage_bounces", u64_hex(m.outage_bounces)),
-        ("queue_bounces", u64_hex(m.queue_bounces)),
-        ("retries", u64_hex(m.retries)),
-        ("deferrals", u64_hex(m.deferrals)),
-        ("disk_spills", u64_hex(m.disk_spills)),
-        ("cache_evictions", u64_hex(m.cache_evictions)),
-        ("records_shed", u64_hex(m.records_shed)),
-        ("backlog_records", u64_hex(m.backlog_records)),
-        ("storage_rho", enc_hist(&m.storage_rho)),
-        ("uplink_ms", enc_hist(&m.uplink_ms)),
-        ("ingest_latency_ms", enc_hist(&m.ingest_latency_ms)),
-    ])
-}
-
-fn dec_ingest_metrics(v: &Value) -> Result<IngestMetrics, CkptError> {
-    Ok(IngestMetrics {
-        batches_sent: get_u64_hex(v, "batches_sent")?,
-        records_sent: get_u64_hex(v, "records_sent")?,
-        batches_written: get_u64_hex(v, "batches_written")?,
-        records_written: get_u64_hex(v, "records_written")?,
-        deadline_misses: get_u64_hex(v, "deadline_misses")?,
-        outage_bounces: get_u64_hex(v, "outage_bounces")?,
-        queue_bounces: get_u64_hex(v, "queue_bounces")?,
-        retries: get_u64_hex(v, "retries")?,
-        deferrals: get_u64_hex(v, "deferrals")?,
-        disk_spills: get_u64_hex(v, "disk_spills")?,
-        cache_evictions: get_u64_hex(v, "cache_evictions")?,
-        records_shed: get_u64_hex(v, "records_shed")?,
-        backlog_records: get_u64_hex(v, "backlog_records")?,
-        storage_rho: hist_field(v, "storage_rho")?,
-        uplink_ms: hist_field(v, "uplink_ms")?,
-        ingest_latency_ms: hist_field(v, "ingest_latency_ms")?,
-    })
-}
+snap_record! { Pending { due, attempts, expires, batch } }
+snap_record! { Cached { expires, attempts, disk, batch } }
 
 /// `(vehicle, records)` pairs for every vehicle whose `used` tier holds
 /// records, in vehicle order.
-fn enc_used(vehicles: &[VehicleIngest], used: impl Fn(&VehicleIngest) -> u64) -> Value {
+fn used_pairs(vehicles: &[VehicleIngest], used: impl Fn(&VehicleIngest) -> u64) -> Value {
     Value::Array(
         (0u64..)
             .zip(vehicles)
             .filter(|&(_, slot)| used(slot) > 0)
-            .map(|(vehicle, slot)| Value::Array(vec![u64_hex(vehicle), u64_hex(used(slot))]))
+            .map(|(vehicle, slot)| (vehicle, used(slot)).enc())
             .collect(),
     )
 }
@@ -596,21 +554,6 @@ fn slot_mut<'a>(
         .ok_or_else(|| CkptError::new(format!("{what} names vehicle {vehicle}, fleet has {fleet}")))
 }
 
-/// Restores the `(vehicle, records)` occupancy pairs under `key` into
-/// each slot's `tier`.
-fn dec_used(
-    vehicles: &mut [VehicleIngest],
-    v: &Value,
-    key: &str,
-    tier: fn(&mut VehicleIngest) -> &mut u64,
-) -> Result<(), CkptError> {
-    for pair in get_array(v, key)? {
-        let (vehicle, records) = val_pair(pair)?;
-        *tier(slot_mut(vehicles, val_u64_hex(vehicle)?, key)?) = val_u64_hex(records)?;
-    }
-    Ok(())
-}
-
 impl IngestPass {
     /// Serializes everything the ingest pass carries across barriers:
     /// the ladder RNG position, rung-1 retry queue, rung-2 TTL caches
@@ -622,110 +565,64 @@ impl IngestPass {
     /// Deliberately does **not** call [`IngestPass::finish`] — that
     /// closes the backlog ledger, which only happens at the horizon.
     pub(crate) fn ckpt(&self) -> Value {
+        let slots = &self.vehicles;
         obj(vec![
-            ("rng", enc_rng(&self.rng)),
-            (
-                "pending",
-                Value::Array(
-                    self.vehicles
-                        .iter()
-                        .flat_map(|slot| &slot.pending)
-                        .map(|p| {
-                            obj(vec![
-                                ("due", enc_time(p.due)),
-                                ("attempts", Value::Number(f64::from(p.attempts))),
-                                ("expires", enc_opt_time(p.expires)),
-                                ("batch", enc_batch(&p.batch)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "cached",
-                Value::Array(
-                    self.vehicles
-                        .iter()
-                        .flat_map(|slot| &slot.cached)
-                        .map(|c| {
-                            obj(vec![
-                                ("expires", enc_time(c.expires)),
-                                ("attempts", Value::Number(f64::from(c.attempts))),
-                                ("disk", Value::Bool(c.disk)),
-                                ("batch", enc_batch(&c.batch)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("mem_used", enc_used(&self.vehicles, |slot| slot.mem_used)),
-            ("disk_used", enc_used(&self.vehicles, |slot| slot.disk_used)),
-            ("metrics", enc_ingest_metrics(&self.metrics)),
+            ("rng", self.rng.enc()),
+            ("pending", enc_all(slots.iter().flat_map(|s| &s.pending))),
+            ("cached", enc_all(slots.iter().flat_map(|s| &s.cached))),
+            ("mem_used", used_pairs(slots, |slot| slot.mem_used)),
+            ("disk_used", used_pairs(slots, |slot| slot.disk_used)),
+            ("metrics", self.metrics.enc()),
             (
                 "collectors",
                 Value::Array(
                     self.collectors
                         .iter()
-                        .map(|c| Value::Array(c.batches().map(enc_batch).collect()))
+                        .map(|c| enc_all(c.batches()))
                         .collect(),
                 ),
             ),
         ])
     }
 
-    /// Rebuilds the pass from config plus the serialized barrier state.
+    /// Rebuilds the pass from config plus the serialized barrier state,
+    /// refusing batches addressed to a vehicle or region the config does
+    /// not have.
     pub(crate) fn restore_ckpt(
         cfg: &FleetConfig,
         seeds: &SeedFactory,
         v: &Value,
     ) -> Result<IngestPass, CkptError> {
         let mut pass = IngestPass::new(cfg, seeds);
-        pass.rng = rng_field(v, "rng")?;
-        for p in get_array(v, "pending")? {
-            let pending = Pending {
-                due: time_field(p, "due")?,
-                attempts: get_u32(p, "attempts")?,
-                expires: opt_time_field(p, "expires")?,
-                batch: crate::ckpt::dec_batch(get(p, "batch")?)?,
-            };
-            slot_mut(&mut pass.vehicles, pending.batch.vehicle, "pending")?
-                .pending
-                .push(pending);
-        }
-        for c in get_array(v, "cached")? {
-            let cached = Cached {
-                expires: time_field(c, "expires")?,
-                attempts: get_u32(c, "attempts")?,
-                disk: get_bool(c, "disk")?,
-                batch: crate::ckpt::dec_batch(get(c, "batch")?)?,
-            };
-            slot_mut(&mut pass.vehicles, cached.batch.vehicle, "cached")?
-                .cached
-                .push(cached);
-        }
-        dec_used(&mut pass.vehicles, v, "mem_used", |slot| &mut slot.mem_used)?;
-        dec_used(&mut pass.vehicles, v, "disk_used", |slot| {
-            &mut slot.disk_used
+        pass.rng = field(v, "rng")?;
+        let slots = &mut pass.vehicles;
+        decode_each(v, "pending", |p: Pending| {
+            check_id("pending batch region", p.batch.region, cfg.regions)?;
+            slot_mut(slots, p.batch.vehicle, "pending")?.pending.push(p);
+            Ok(())
         })?;
-        pass.metrics = dec_ingest_metrics(get(v, "metrics")?)?;
-        let queues = get_array(v, "collectors")?;
-        if queues.len() != pass.collectors.len() {
-            return Err(CkptError::new(format!(
-                "snapshot has {} collectors, config has {}",
-                queues.len(),
-                pass.collectors.len()
-            )));
-        }
-        for (region, queue) in queues.iter().enumerate() {
-            let batches = val_array(queue)?
-                .iter()
-                .map(crate::ckpt::dec_batch)
-                .collect::<Result<Vec<_>, _>>()?;
-            pass.collectors[region] = RegionCollector::from_batches(
-                region as u32,
-                pass.ing.collector_queue_records,
-                batches,
-            );
+        decode_each(v, "cached", |c: Cached| {
+            check_id("cached batch region", c.batch.region, cfg.regions)?;
+            slot_mut(slots, c.batch.vehicle, "cached")?.cached.push(c);
+            Ok(())
+        })?;
+        decode_each(v, "mem_used", |(vehicle, records): (u64, u64)| {
+            slot_mut(slots, vehicle, "mem_used")?.mem_used = records;
+            Ok(())
+        })?;
+        decode_each(v, "disk_used", |(vehicle, records): (u64, u64)| {
+            slot_mut(slots, vehicle, "disk_used")?.disk_used = records;
+            Ok(())
+        })?;
+        pass.metrics = field(v, "metrics")?;
+        let queues: Vec<Vec<UploadBatch>> = field(v, "collectors")?;
+        let queues = check_len(queues, pass.collectors.len(), "collectors")?;
+        for (region, batches) in (0u32..).zip(queues) {
+            for b in &batches {
+                check_id("collector batch region", b.region, cfg.regions)?;
+            }
+            pass.collectors[region as usize] =
+                RegionCollector::from_batches(region, pass.ing.collector_queue_records, batches);
         }
         Ok(pass)
     }

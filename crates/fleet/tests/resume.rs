@@ -499,6 +499,221 @@ fn restore_refuses_ingest_entries_for_vehicles_outside_the_fleet() {
     }
 }
 
+#[test]
+fn supervisor_falls_back_past_a_snapshot_that_does_not_restore() {
+    // A checksum-valid generation 9 written by another scenario sits in
+    // the store, newer than anything this run writes before its crash
+    // at epoch 10 (generations 4 and 8). Its checksum verifies but its
+    // fingerprint does not, so the supervisor must reject it and resume
+    // from generation 8.
+    let cfg = full_stack_config(29).with_engine_crash(10, SimDuration::from_secs(1));
+    let straight = FleetEngine::new(cfg.clone()).run();
+    let mut foreign = SnapshotStore::in_memory();
+    let _ = FleetEngine::new(full_stack_config(42)).run_supervised(&mut foreign);
+    let text = foreign.get(8).expect("generation 8 retained");
+    let snap = Snapshot::decode(&text).expect("generation 8 valid");
+    let mut store = SnapshotStore::in_memory();
+    let planted = Snapshot::new(9, snap.payload).encode();
+    Snapshot::decode(&planted).expect("the planted generation passes its checksum");
+    store.put(9, &planted).expect("in-memory put");
+    let resumed = FleetEngine::new(cfg).run_supervised(&mut store);
+    assert_eq!(resumed.snapshots.resumes, 1);
+    assert_eq!(
+        resumed.snapshots.rejected_generations,
+        vec![9],
+        "generation 9 is rejected and generation 8 restores"
+    );
+    assert!(resumed.snapshots.load_ms.is_some(), "no snapshot restored");
+    assert_reports_identical(&straight, &resumed);
+}
+
+/// The member of `v` at `path`; a numeric step indexes an array.
+fn at<'a>(mut v: &'a mut Value, path: &[&str]) -> &'a mut Value {
+    for step in path {
+        v = match v {
+            Value::Object(members) => members
+                .get_mut(*step)
+                .unwrap_or_else(|| panic!("no member {step}")),
+            Value::Array(items) => &mut items[step.parse::<usize>().expect("an array index")],
+            other => panic!("cannot step into {other}"),
+        };
+    }
+    v
+}
+
+#[test]
+fn restore_refuses_ids_outside_the_config_tables() {
+    // Every id a restore later uses as a table index, set one past the
+    // config's table in an otherwise valid, resealed payload: each must
+    // be refused at decode with an error naming the field, not panic at
+    // the next barrier.
+    let cfg = backlog_config(13);
+    let mut store = SnapshotStore::in_memory();
+    let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+    let text = store.get(8).expect("generation 8 retained");
+    let snap = Snapshot::decode(&text).expect("generation 8 valid");
+    let engine = FleetEngine::new(cfg.clone());
+    let reseal = |payload: Value| {
+        let text = envelope(SNAPSHOT_VERSION, snap.generation, payload);
+        Snapshot::decode(&text).expect("a resealed payload decodes")
+    };
+    engine
+        .restore(&reseal(snap.payload.clone()))
+        .expect("the untouched payload restores");
+
+    // A track in the middle of a drive, for the segment and path ids.
+    let mut payload = snap.payload.clone();
+    let Value::Array(tracks) = at(&mut payload, &["mobility", "tracks"]) else {
+        panic!("mobility carries its tracks");
+    };
+    let driving = tracks
+        .iter()
+        .position(|t| t.get("motion").and_then(|m| m.get("kind")) == Some(&Value::from("drive")))
+        .expect("some track is driving at generation 8")
+        .to_string();
+    let driving = driving.as_str();
+
+    let regions = Value::from(cfg.regions);
+    let tenants = Value::from(cfg.tenants);
+    let nodes = Value::from(cfg.edge_nodes);
+    let cases: Vec<(&str, Vec<&str>, Value)> = vec![
+        (
+            "lane node",
+            vec!["edge", "lanes", "0", "node"],
+            nodes.clone(),
+        ),
+        (
+            "in-flight node",
+            vec!["edge", "in_flight", "0", "node"],
+            nodes,
+        ),
+        (
+            "request region",
+            vec!["edge", "in_flight", "0", "req", "region"],
+            regions.clone(),
+        ),
+        (
+            "request tenant",
+            vec!["edge", "in_flight", "0", "req", "tenant"],
+            tenants.clone(),
+        ),
+        (
+            "vehicle region",
+            vec!["vehicles", "0", "region"],
+            regions.clone(),
+        ),
+        ("vehicle tenant", vec!["vehicles", "0", "tenant"], tenants),
+        (
+            "pending batch region",
+            vec!["ingest", "pending", "0", "batch", "region"],
+            regions.clone(),
+        ),
+        (
+            "cached batch region",
+            vec!["ingest", "cached", "0", "batch", "region"],
+            regions.clone(),
+        ),
+        (
+            "track region",
+            vec!["mobility", "tracks", "0", "region"],
+            regions.clone(),
+        ),
+        (
+            "track region",
+            vec!["mobility", "tracks", "0", "home"],
+            regions.clone(),
+        ),
+        (
+            "track region",
+            vec!["mobility", "tracks", "0", "work"],
+            regions.clone(),
+        ),
+        (
+            "track edge",
+            vec!["mobility", "tracks", driving, "motion", "edge"],
+            Value::from(1_000_000u32),
+        ),
+        (
+            "track path region",
+            vec!["mobility", "tracks", driving, "motion", "path", "0"],
+            regions.clone(),
+        ),
+    ];
+    for (what, path, hostile) in cases {
+        let mut payload = snap.payload.clone();
+        *at(&mut payload, &path) = hostile;
+        let err = engine
+            .restore(&reseal(payload))
+            .expect_err("an id outside the config must be refused");
+        assert!(err.to_string().contains(what), "{path:?}: {err}");
+    }
+
+    // Requeued requests and queued collector batches are usually empty
+    // at a barrier: plant one of each with a hostile region.
+    let mut payload = snap.payload.clone();
+    let mut request = at(&mut payload, &["edge", "in_flight", "0", "req"]).clone();
+    *at(&mut request, &["region"]) = regions.clone();
+    let Value::Array(requeued) = at(&mut payload, &["edge", "requeued"]) else {
+        panic!("the edge carries its requeued list");
+    };
+    requeued.push(request);
+    let err = engine
+        .restore(&reseal(payload))
+        .expect_err("requeued region");
+    assert!(err.to_string().contains("request region"), "{err}");
+
+    let mut payload = snap.payload.clone();
+    let mut batch = at(&mut payload, &["ingest", "pending", "0", "batch"]).clone();
+    *at(&mut batch, &["region"]) = regions;
+    let Value::Array(queue) = at(&mut payload, &["ingest", "collectors", "0"]) else {
+        panic!("ingest carries its collector queues");
+    };
+    queue.push(batch);
+    let err = engine
+        .restore(&reseal(payload))
+        .expect_err("collector region");
+    assert!(err.to_string().contains("collector batch region"), "{err}");
+}
+
+/// FNV-1a digests of every snapshot text a clean supervised run of each
+/// scenario retains, as `(generation, digest)`. Recorded when the v3
+/// layout was pinned: a deliberate format change bumps
+/// `SNAPSHOT_VERSION` and these digests together.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    assert_eq!(SNAPSHOT_VERSION, 3);
+    let pinned = [
+        (
+            "full_stack_config(41)",
+            full_stack_config(41),
+            [
+                (4, 0xdd4d_51ad_c171_9914),
+                (8, 0x2ccc_5bfd_16af_b180),
+                (12, 0x8789_e42f_c48f_5c6d),
+            ],
+        ),
+        (
+            "backlog_config(13)",
+            backlog_config(13),
+            [
+                (4, 0xde06_53bb_6799_54db),
+                (8, 0x3f25_ef4f_1277_bfb8),
+                (12, 0x7ee0_85ac_383a_787f),
+            ],
+        ),
+    ];
+    for (name, cfg, want) in pinned {
+        let mut store = SnapshotStore::in_memory();
+        let _ = FleetEngine::new(cfg).run_supervised(&mut store);
+        let got: Vec<(u64, u64)> = store
+            .generations()
+            .into_iter()
+            .map(|g| (g, fnv1a64(store.get(g).expect("retained").as_bytes())))
+            .collect();
+        assert_eq!(got, want, "{name}: snapshot bytes moved");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
