@@ -1013,12 +1013,12 @@ impl XEdgeServer {
 
 // --- snapshot codec --------------------------------------------------
 
-use crate::ckpt::{check_id, check_len, field, snap_record, Snap};
+use crate::ckpt::{check_id, check_len, enc_or_null, field, snap_record, Obj};
 use vdap_ckpt::json::Value;
-use vdap_ckpt::{get, obj, CkptError};
+use vdap_ckpt::{get, CkptError};
 
-snap_record! { Lane { node, free } }
-snap_record! { InFlight { finish, node, served, req } }
+snap_record! { Lane { free, node } }
+snap_record! { InFlight { finish, node, req, served } }
 
 impl XEdgeServer {
     /// Serializes everything the serving pass carries across barriers:
@@ -1028,23 +1028,25 @@ impl XEdgeServer {
     /// observe-at-`k`/actuate-at-`k+1` queue-depth latch. The rest of
     /// the server is a pure function of `FleetConfig` and is rebuilt on
     /// restore.
-    pub(crate) fn ckpt(&self) -> Value {
-        let scaler = self.scaler.as_ref().map_or(Value::Null, |s| {
+    pub(crate) fn ckpt(&self, out: &mut String) {
+        let mut obj = Obj::new(out);
+        obj.field("admission", &self.admission);
+        obj.field("crash_history", &self.crash_history);
+        obj.field("crash_looped", &self.crash_looped);
+        obj.field("in_flight", &self.in_flight);
+        obj.field("lanes", &self.lanes);
+        obj.field("last_depth", &self.last_depth);
+        obj.field("node_down", &self.node_down);
+        obj.field("region_admission", &self.region_admission);
+        obj.field("requeued", &self.requeued);
+        enc_or_null(obj.key("scaler"), self.scaler.as_ref(), |s, out| {
             let (ups, downs) = s.counters();
-            obj(vec![("scale_ups", ups.enc()), ("scale_downs", downs.enc())])
+            let mut scaler = Obj::new(out);
+            scaler.field("scale_downs", &downs);
+            scaler.field("scale_ups", &ups);
+            scaler.end();
         });
-        obj(vec![
-            ("lanes", self.lanes.enc()),
-            ("in_flight", self.in_flight.enc()),
-            ("requeued", self.requeued.enc()),
-            ("node_down", self.node_down.enc()),
-            ("crash_history", self.crash_history.enc()),
-            ("crash_looped", self.crash_looped.enc()),
-            ("admission", self.admission.enc()),
-            ("region_admission", self.region_admission.enc()),
-            ("scaler", scaler),
-            ("last_depth", self.last_depth.enc()),
-        ])
+        obj.end();
     }
 
     /// Rebuilds the server from config (everything derivable) plus the

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use vdap_ckpt::json::Value;
-use vdap_ckpt::{get, obj, CkptError, Snapshot, SnapshotStore};
+use vdap_ckpt::{get, CkptError, Snapshot, SnapshotStore};
 use vdap_edgeos::WorkloadClass;
 use vdap_fault::{FaultEdge, FaultInjector, FaultKind};
 use vdap_mobility::{
@@ -45,8 +45,8 @@ use vdap_sim::{ReliabilityStats, RngStream, SeedFactory, SimDuration, SimTime};
 
 use crate::arena::{advance_chunk, fresh_arena, region_label_table, ChunkOut, CollabSnapshot};
 use crate::ckpt::{
-    check_fingerprint, check_id, check_len, config_fingerprint, decode_each, enc_all, field, fit,
-    snap_record, Snap, SnapshotDiagnostics, SnapshotWrite,
+    check_fingerprint, check_id, check_len, config_fingerprint, decode_each, enc_all, enc_or_null,
+    field, fit, snap_record, write_array, Obj, Snap, SnapshotDiagnostics, SnapshotWrite,
 };
 use crate::config::{
     handoff_label, tenant_label, CheckpointConfig, FleetConfig, FleetConfigError, CKPT_STORE_LABEL,
@@ -160,11 +160,12 @@ impl FleetEngine {
                         .into_iter()
                         .rev()
                         .find_map(|generation| {
-                            let text = store.get(generation).unwrap_or_default();
-                            let attempt = Snapshot::decode(&text).and_then(|snap| {
-                                let started = Instant::now();
+                            let verifying = Instant::now();
+                            let attempt = store.load(generation).and_then(|snap| {
+                                let verify = verifying.elapsed();
+                                let rebuilding = Instant::now();
                                 let restored = state_from_snapshot(&ctx, &snap)?;
-                                Ok((restored, started.elapsed()))
+                                Ok((restored, verify, rebuilding.elapsed()))
                             });
                             if attempt.is_err() {
                                 carried.rejected_generations.push(generation);
@@ -172,7 +173,8 @@ impl FleetEngine {
                             attempt.ok()
                         });
                     state = match restored {
-                        Some((restored, load)) => {
+                        Some((restored, verify, load)) => {
+                            carried.verify_ms = Some(verify.as_secs_f64() * 1e3);
                             carried.load_ms = Some(load.as_secs_f64() * 1e3);
                             restored
                         }
@@ -608,7 +610,14 @@ fn write_snapshot(
 ) {
     let started = Instant::now();
     let generation = state.epoch_index;
-    let mut encoded = Snapshot::new(generation, snapshot_payload(&ctx.cfg, state)).encode();
+    let mut encoded = {
+        // The previous write's size is a close guess at this one's, so
+        // the payload buffer rarely grows.
+        let guess = state.snapshots.writes.last().map_or(0, |w| w.bytes);
+        let mut payload = String::with_capacity(guess);
+        snapshot_payload(&ctx.cfg, state, &mut payload);
+        Snapshot::seal(generation, &payload)
+    };
     let mut chaos = None;
     if let Some(inj) = ctx.injector.as_deref() {
         if inj.snapshot_torn(CKPT_STORE_LABEL, end) {
@@ -626,7 +635,8 @@ fn write_snapshot(
             chaos = Some("corruption");
         }
     }
-    if let Err(err) = store.put(generation, &encoded) {
+    let bytes = encoded.len();
+    if let Err(err) = store.put(generation, encoded) {
         panic!("snapshot store write failed: {err}");
     }
     if let Err(err) = store.retain_last(ck.retain) {
@@ -634,45 +644,42 @@ fn write_snapshot(
     }
     state.snapshots.writes.push(SnapshotWrite {
         generation,
-        bytes: encoded.len(),
+        bytes,
         write_ms: started.elapsed().as_secs_f64() * 1e3,
         chaos,
     });
 }
 
-/// The complete deterministic engine state as a canonical JSON value.
+/// Appends the complete deterministic engine state to `out` as
+/// canonical JSON text.
 ///
 /// Every chunk buffer is drained at a barrier and the arena is in id
 /// order, so a snapshot is *canonical*: every executor width and chunk
 /// size serializes the same scenario at the same barrier to the same
 /// payload — which is what lets a snapshot restore under another.
-fn snapshot_payload(cfg: &FleetConfig, state: &EngineState) -> Value {
-    obj(vec![
-        ("config", config_fingerprint(cfg)),
-        ("epoch", state.epoch_index.enc()),
-        ("events", state.events.enc()),
-        ("ladder_rng", state.ladder_rng.enc()),
-        ("metrics", state.engine_metrics.enc()),
-        ("reliability", state.reliability.enc()),
-        ("vehicles", state.vehicles.enc()),
-        ("collab", state.collab.enc()),
-        ("edge", state.edge.ckpt()),
-        (
-            "ingest",
-            state.ingest.as_ref().map_or(Value::Null, IngestPass::ckpt),
-        ),
-        (
-            "mobility",
-            state
-                .mobility
-                .as_ref()
-                .map_or(Value::Null, MobilityPass::ckpt),
-        ),
-        (
-            "telemetry",
-            state.telemetry.as_ref().map_or(Value::Null, telemetry_ckpt),
-        ),
-    ])
+fn snapshot_payload(cfg: &FleetConfig, state: &EngineState, out: &mut String) {
+    let mut obj = Obj::new(out);
+    obj.field("collab", &state.collab);
+    config_fingerprint(cfg, obj.key("config"));
+    state.edge.ckpt(obj.key("edge"));
+    obj.field("epoch", &state.epoch_index);
+    obj.field("events", &state.events);
+    enc_or_null(obj.key("ingest"), state.ingest.as_ref(), IngestPass::ckpt);
+    obj.field("ladder_rng", &state.ladder_rng);
+    obj.field("metrics", &state.engine_metrics);
+    enc_or_null(
+        obj.key("mobility"),
+        state.mobility.as_ref(),
+        MobilityPass::ckpt,
+    );
+    obj.field("reliability", &state.reliability);
+    enc_or_null(
+        obj.key("telemetry"),
+        state.telemetry.as_ref(),
+        telemetry_ckpt,
+    );
+    obj.field("vehicles", &state.vehicles);
+    obj.end();
 }
 
 /// Decodes the subsystem stored under `key`, which must be present
@@ -778,14 +785,14 @@ struct SinkState {
 }
 
 snap_record! { SinkState {
-    sample, sampled_out, rolled, peak_bytes, spilled, spill_index, spill_bytes,
+    peak_bytes, rolled, sample, sampled_out, spill_bytes, spill_index, spilled,
 } }
 
 /// Serializes the full telemetry surface: the span log in its current
 /// order (the final `sort_canonical` has unique keys, so order here is
 /// immaterial), counters, gauges, every per-epoch series, the rolled-up
 /// histograms, and the sink state.
-fn telemetry_ckpt(tel: &FleetTelemetry) -> Value {
+fn telemetry_ckpt(tel: &FleetTelemetry, out: &mut String) {
     let reg = &tel.registry;
     let spill = tel.spill.as_ref();
     let sink = SinkState {
@@ -797,31 +804,26 @@ fn telemetry_ckpt(tel: &FleetTelemetry) -> Value {
         spill_index: spill.map_or(0, |s| u64::from(s.current_index())),
         spill_bytes: spill.map_or(0, JsonlSpillSink::current_bytes),
     };
-    let series = reg.all_series().map(|(name, points)| {
-        let points = points.iter().map(|p| (p.epoch, p.at, p.value).enc());
-        Value::Array(vec![name.enc(), Value::Array(points.collect())])
+    let mut obj = Obj::new(out);
+    write_array(obj.key("counters"), reg.counters(), |out, c| c.enc(out));
+    write_array(obj.key("gauges"), reg.gauges(), |out, g| g.enc(out));
+    write_array(obj.key("hists"), reg.all_histograms(), |out, h| {
+        (h.name(), h.state()).enc(out);
     });
-    obj(vec![
-        ("spans", enc_all(tel.spans.spans())),
-        (
-            "counters",
-            Value::Array(reg.counters().map(|c| c.enc()).collect()),
-        ),
-        (
-            "gauges",
-            Value::Array(reg.gauges().map(|g| g.enc()).collect()),
-        ),
-        ("series", Value::Array(series.collect())),
-        (
-            "hists",
-            Value::Array(
-                reg.all_histograms()
-                    .map(|h| (h.name(), h.state()).enc())
-                    .collect(),
-            ),
-        ),
-        ("sink", sink.enc()),
-    ])
+    write_array(
+        obj.key("series"),
+        reg.all_series(),
+        |out, (name, points)| {
+            out.push('[');
+            name.enc(out);
+            out.push(',');
+            write_array(out, points, |out, p| (p.epoch, p.at, p.value).enc(out));
+            out.push(']');
+        },
+    );
+    obj.field("sink", &sink);
+    enc_all(obj.key("spans"), tel.spans.spans());
+    obj.end();
 }
 
 /// Rebuilds the telemetry surface. Sink wiring is config-derived: the
@@ -938,12 +940,13 @@ impl MobilityPass {
 
     /// Serializes the pass: every route track (in vehicle-id order) and
     /// the mobility ledger.
-    fn ckpt(&self) -> Value {
-        let tracks = self.tracks.iter().map(|t| t.snapshot().enc());
-        obj(vec![
-            ("tracks", Value::Array(tracks.collect())),
-            ("metrics", self.metrics.enc()),
-        ])
+    fn ckpt(&self, out: &mut String) {
+        let mut obj = Obj::new(out);
+        obj.field("metrics", &self.metrics);
+        write_array(obj.key("tracks"), &self.tracks, |out, t| {
+            t.snapshot().enc(out)
+        });
+        obj.end();
     }
 
     /// Rebuilds the pass: the region graph and channel are re-derived
@@ -1582,7 +1585,8 @@ mod tests {
                 let text = store.get(generation).expect("retained");
                 let snap = Snapshot::decode(&text).expect("a clean write decodes");
                 let state = state_from_snapshot(&ctx, &snap).expect("restores");
-                let again = snapshot_payload(&cfg, &state).to_string();
+                let mut again = String::new();
+                snapshot_payload(&cfg, &state, &mut again);
                 assert!(
                     again == snap.payload.to_string(),
                     "mask {mask:#06b}, generation {generation} re-encodes differently"

@@ -521,23 +521,22 @@ impl IngestPass {
 
 // --- snapshot codec --------------------------------------------------
 
-use crate::ckpt::{check_id, check_len, decode_each, enc_all, field, snap_record, Snap};
+use crate::ckpt::{
+    check_id, check_len, decode_each, enc_all, field, snap_record, write_array, Obj, Snap,
+};
 use vdap_ckpt::json::Value;
-use vdap_ckpt::{obj, CkptError};
+use vdap_ckpt::CkptError;
 
-snap_record! { Pending { due, attempts, expires, batch } }
-snap_record! { Cached { expires, attempts, disk, batch } }
+snap_record! { Pending { attempts, batch, due, expires } }
+snap_record! { Cached { attempts, batch, disk, expires } }
 
-/// `(vehicle, records)` pairs for every vehicle whose `used` tier holds
-/// records, in vehicle order.
-fn used_pairs(vehicles: &[VehicleIngest], used: impl Fn(&VehicleIngest) -> u64) -> Value {
-    Value::Array(
-        (0u64..)
-            .zip(vehicles)
-            .filter(|&(_, slot)| used(slot) > 0)
-            .map(|(vehicle, slot)| (vehicle, used(slot)).enc())
-            .collect(),
-    )
+/// Writes `(vehicle, records)` pairs for every vehicle whose `used` tier
+/// holds records, in vehicle order.
+fn used_pairs(out: &mut String, vehicles: &[VehicleIngest], used: impl Fn(&VehicleIngest) -> u64) {
+    let pairs = (0u64..).zip(vehicles).filter(|&(_, slot)| used(slot) > 0);
+    write_array(out, pairs, |out, (vehicle, slot)| {
+        (vehicle, used(slot)).enc(out);
+    });
 }
 
 /// The slot of `vehicle`, or an error naming the snapshot field `what`
@@ -564,25 +563,19 @@ impl IngestPass {
     ///
     /// Deliberately does **not** call [`IngestPass::finish`] — that
     /// closes the backlog ledger, which only happens at the horizon.
-    pub(crate) fn ckpt(&self) -> Value {
+    pub(crate) fn ckpt(&self, out: &mut String) {
         let slots = &self.vehicles;
-        obj(vec![
-            ("rng", self.rng.enc()),
-            ("pending", enc_all(slots.iter().flat_map(|s| &s.pending))),
-            ("cached", enc_all(slots.iter().flat_map(|s| &s.cached))),
-            ("mem_used", used_pairs(slots, |slot| slot.mem_used)),
-            ("disk_used", used_pairs(slots, |slot| slot.disk_used)),
-            ("metrics", self.metrics.enc()),
-            (
-                "collectors",
-                Value::Array(
-                    self.collectors
-                        .iter()
-                        .map(|c| enc_all(c.batches()))
-                        .collect(),
-                ),
-            ),
-        ])
+        let mut obj = Obj::new(out);
+        enc_all(obj.key("cached"), slots.iter().flat_map(|s| &s.cached));
+        write_array(obj.key("collectors"), &self.collectors, |out, c| {
+            enc_all(out, c.batches());
+        });
+        used_pairs(obj.key("disk_used"), slots, |slot| slot.disk_used);
+        used_pairs(obj.key("mem_used"), slots, |slot| slot.mem_used);
+        obj.field("metrics", &self.metrics);
+        enc_all(obj.key("pending"), slots.iter().flat_map(|s| &s.pending));
+        obj.field("rng", &self.rng);
+        obj.end();
     }
 
     /// Rebuilds the pass from config plus the serialized barrier state,

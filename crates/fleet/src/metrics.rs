@@ -863,6 +863,7 @@ mod tests {
                 write_ms: 0.5,
                 chaos: Some("torn-write"),
             }],
+            verify_ms: Some(0.125),
             load_ms: Some(0.25),
             rejected_generations: vec![16],
             resumes: 1,
@@ -870,6 +871,8 @@ mod tests {
         let d = with_snapshots.diagnostics();
         assert!(d.contains("snapshots: 1 written, 1 resume(s), 1 generation(s) rejected"));
         assert!(d.contains("write gen 8: 4096 B"));
+        assert!(d.contains("restore verify: 0.125 ms"));
+        assert!(d.contains("restore rebuild: 0.250 ms"));
         assert!(d.contains("(torn-write injected)"));
         assert!(d.contains("rejected gen 16"));
         assert!(
